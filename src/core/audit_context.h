@@ -7,8 +7,10 @@
 // OpMap, and trace indexes are immutable, so CheckOp/SimOp reads are lock-free. The only
 // mutable shared state on the re-execution path is (a) the SELECT parse + dedup caches,
 // which are sharded with per-shard mutexes so §4.5 query dedup keeps working across
-// threads, and (b) per-request cursors/output slots, which are pre-built for every traced
-// rid in Prepare() and only ever touched by the one worker executing that rid's group.
+// threads (a cached SELECT result is one immutable Value that every request reading it
+// shares; copy-on-write stays safe because the cache keeps a reference), and (b)
+// per-request cursors/output slots, which are pre-built for every traced rid in
+// Prepare() and only ever touched by the one worker executing that rid's group.
 // Stats on the hot path accumulate into a per-worker AuditWorkerState and are merged at
 // join, keeping counters contention-free.
 #ifndef SRC_CORE_AUDIT_CONTEXT_H_
@@ -217,9 +219,8 @@ class AuditContext {
   Status BuildVersionedDb();
 
   Result<Value> SimDbOp(const StateOpRequest& op, OpLocation loc, AuditWorkerState* ws);
-  // Executes (or dedups) one SELECT at timestamp ts.
-  Result<std::shared_ptr<const StmtResult>> RunSelect(const std::string& sql, uint64_t ts,
-                                                      AuditWorkerState* ws);
+  // Executes (or dedups) one SELECT at timestamp ts; returns its program-visible value.
+  Result<Value> RunSelect(const std::string& sql, uint64_t ts, AuditWorkerState* ws);
 
   const Trace* trace_;
   const Reports* reports_;
@@ -247,7 +248,9 @@ class AuditContext {
   // lock against the frozen versioned store.
   struct DedupEntry {
     uint64_t ts;
-    std::shared_ptr<const StmtResult> result;
+    // StmtResultToValue of the SELECT. Never mutated: programs that modify a returned
+    // row array copy it first, because this reference keeps the array shared.
+    Value result;
   };
   struct QueryCacheShard {
     std::mutex mu;

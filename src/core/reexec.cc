@@ -93,6 +93,7 @@ Status RunGroupChunk(const Application* app, const InterpreterOptions& interp_op
         // Figure 12 step (3): each request must have issued exactly M(rid) operations.
         // (A uniform trap is a deterministic end of the group; its op-count discipline is
         // the same.)
+        std::vector<std::string> outputs = acc.TakeOutputs();
         for (size_t j = 0; j < n; j++) {
           if (opnum != ctx->OpCount(rids[j])) {
             return Status::Error("group re-exec: rid " + std::to_string(rids[j]) +
@@ -102,7 +103,7 @@ Status RunGroupChunk(const Application* app, const InterpreterOptions& interp_op
           if (Status st = ctx->CheckNondetConsumed(rids[j]); !st.ok()) {
             return st;
           }
-          std::string body = acc.outputs()[j];
+          std::string body = std::move(outputs[j]);
           if (step.kind == AccStepResult::Kind::kError) {
             body += "\n[error] " + step.error;
           }

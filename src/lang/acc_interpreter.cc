@@ -69,15 +69,15 @@ AccStepResult AccInterpreter::Run() {
   return Execute();
 }
 
-bool AccInterpreter::SplitPureCall(const BuiltinInfo& info, std::vector<Value>& args,
-                                   Value* out, std::string* failure) {
-  size_t n = params_.size();
+bool AccInterpreter::SplitPureCall(const BuiltinInfo& info, const std::vector<Value>& args,
+                                   RequestClasses& classes, Value* out,
+                                   std::string* failure) {
   std::vector<Value> results;
-  results.reserve(n);
+  results.reserve(classes.size());
   std::vector<Value> component_args(args.size());
-  for (size_t j = 0; j < n; j++) {
+  for (size_t c = 0; c < classes.size(); c++) {
     for (size_t k = 0; k < args.size(); k++) {
-      component_args[k] = ProjectComponent(args[k], j);
+      component_args[k] = ProjectComponent(args[k], classes.rep(c));
     }
     Result<Value> r = info.fn(component_args);
     if (!r.ok()) {
@@ -86,7 +86,7 @@ bool AccInterpreter::SplitPureCall(const BuiltinInfo& info, std::vector<Value>& 
     }
     results.push_back(std::move(r).value());
   }
-  *out = MakeMultiCollapsed(std::move(results));
+  *out = MakeMultiCollapsed(std::move(results), classes.TakeIndex());
   return true;
 }
 
@@ -139,7 +139,10 @@ AccStepResult AccInterpreter::Execute() {
         stack_.pop_back();
         Value a = std::move(stack_.back());
         stack_.pop_back();
-        if (!ContainsMulti(a) && !ContainsMulti(b)) {
+        RequestClasses classes(n);
+        bool a_multi = classes.Refine(a);
+        bool b_multi = classes.Refine(b);
+        if (!a_multi && !b_multi) {
           Result<Value> r = ScalarBinary(in.op, a, b);
           if (!r.ok()) {
             return Trap(r.error());
@@ -149,15 +152,16 @@ AccStepResult AccInterpreter::Execute() {
         }
         multivalent_++;
         std::vector<Value> results;
-        results.reserve(n);
-        for (size_t j = 0; j < n; j++) {
+        results.reserve(classes.size());
+        for (size_t c = 0; c < classes.size(); c++) {
+          size_t j = classes.rep(c);
           Result<Value> r = ScalarBinary(in.op, ProjectComponent(a, j), ProjectComponent(b, j));
           if (!r.ok()) {
             return Fallback("component trap in binary op: " + r.error());
           }
           results.push_back(std::move(r).value());
         }
-        stack_.push_back(MakeMultiCollapsed(std::move(results)));
+        stack_.push_back(MakeMultiCollapsed(std::move(results), classes.TakeIndex()));
         break;
       }
 
@@ -173,16 +177,17 @@ AccStepResult AccInterpreter::Execute() {
           break;
         }
         multivalent_++;
+        const MultiValue& m = v.multi();
         std::vector<Value> results;
-        results.reserve(n);
-        for (size_t j = 0; j < n; j++) {
-          Result<Value> r = ScalarUnary(in.op, ProjectComponent(v, j));
+        results.reserve(m.values.size());
+        for (const Value& component : m.values) {
+          Result<Value> r = ScalarUnary(in.op, component);
           if (!r.ok()) {
             return Fallback("component trap in unary op: " + r.error());
           }
           results.push_back(std::move(r).value());
         }
-        stack_.push_back(MakeMultiCollapsed(std::move(results)));
+        stack_.push_back(MakeMultiCollapsed(std::move(results), m.index));
         break;
       }
 
@@ -197,10 +202,10 @@ AccStepResult AccInterpreter::Execute() {
         bool truthy;
         if (cond.is_multi()) {
           multivalent_++;
-          const auto& items = cond.multi().items;
-          truthy = items[0].Truthy();
-          for (size_t j = 1; j < items.size(); j++) {
-            if (items[j].Truthy() != truthy) {
+          const std::vector<Value>& values = cond.multi().values;
+          truthy = values[0].Truthy();
+          for (size_t c = 1; c < values.size(); c++) {
+            if (values[c].Truthy() != truthy) {
               return Diverge("branch condition differs within control-flow group");
             }
           }
@@ -246,12 +251,10 @@ AccStepResult AccInterpreter::Execute() {
         }
         switch (info.kind) {
           case BuiltinKind::kPure: {
+            RequestClasses classes(n);
             bool any_multi = false;
             for (const Value& a : args) {
-              if (ContainsMulti(a)) {
-                any_multi = true;
-                break;
-              }
+              any_multi = classes.Refine(a) || any_multi;
             }
             if (!any_multi) {
               Result<Value> r = info.fn(args);
@@ -264,7 +267,7 @@ AccStepResult AccInterpreter::Execute() {
             multivalent_++;
             Value out;
             std::string failure;
-            if (!SplitPureCall(info, args, &out, &failure)) {
+            if (!SplitPureCall(info, args, classes, &out, &failure)) {
               return Fallback("component trap in builtin " + std::string(info.name) + ": " +
                               failure);
             }
@@ -273,15 +276,19 @@ AccStepResult AccInterpreter::Execute() {
           }
           case BuiltinKind::kInput: {
             // Reads the per-request inputs; collapses when all requests agree.
-            bool name_multi = args[0].is_multi();
-            if (name_multi) {
+            if (args[0].is_multi()) {
               multivalent_++;
+            }
+            RequestClasses classes(n);
+            classes.Refine(args[0]);
+            std::vector<std::string> names(classes.size());
+            for (size_t c = 0; c < classes.size(); c++) {
+              names[c] = ProjectComponent(args[0], classes.rep(c)).ToString();
             }
             std::vector<Value> results;
             results.reserve(n);
             for (size_t j = 0; j < n; j++) {
-              std::string name = ProjectComponent(args[0], j).ToString();
-              auto it = params_[j]->find(name);
+              auto it = params_[j]->find(names[classes.class_of(j)]);
               results.push_back(it == params_[j]->end() ? Value::Null()
                                                         : Value::Str(it->second));
             }
@@ -289,12 +296,16 @@ AccStepResult AccInterpreter::Execute() {
             break;
           }
           case BuiltinKind::kStateOp: {
+            // Built once per class of the arguments, then handed out per request.
             const BuiltinIds& ids = WellKnownBuiltins();
-            AccStepResult r;
-            r.kind = AccStepResult::Kind::kStateOp;
-            r.ops.resize(n);
-            for (size_t j = 0; j < n; j++) {
-              StateOpRequest& op = r.ops[j];
+            RequestClasses classes(n);
+            for (const Value& a : args) {
+              classes.Refine(a);
+            }
+            std::vector<StateOpRequest> class_ops(classes.size());
+            for (size_t c = 0; c < classes.size(); c++) {
+              size_t j = classes.rep(c);
+              StateOpRequest& op = class_ops[c];
               if (in.a == ids.reg_read) {
                 op.type = StateOpType::kRegisterRead;
                 op.target = ProjectComponent(args[0], j).ToString();
@@ -326,18 +337,32 @@ AccStepResult AccInterpreter::Execute() {
                 }
               }
             }
+            AccStepResult r;
+            r.kind = AccStepResult::Kind::kStateOp;
+            r.ops.reserve(n);
+            for (size_t j = 0; j < n; j++) {
+              r.ops.push_back(class_ops[classes.class_of(j)]);
+            }
             pending_value_ = true;
             return r;
           }
           case BuiltinKind::kNondet: {
+            RequestClasses classes(n);
+            for (const Value& a : args) {
+              classes.Refine(a);
+            }
+            std::vector<NondetRequest> class_nondets(classes.size());
+            for (size_t c = 0; c < classes.size(); c++) {
+              class_nondets[c].name = info.name;
+              for (const Value& a : args) {
+                class_nondets[c].args.push_back(ProjectComponent(a, classes.rep(c)));
+              }
+            }
             AccStepResult r;
             r.kind = AccStepResult::Kind::kNondet;
-            r.nondets.resize(n);
+            r.nondets.reserve(n);
             for (size_t j = 0; j < n; j++) {
-              r.nondets[j].name = info.name;
-              for (const Value& a : args) {
-                r.nondets[j].args.push_back(ProjectComponent(a, j));
-              }
+              r.nondets.push_back(class_nondets[classes.class_of(j)]);
             }
             pending_value_ = true;
             return r;
@@ -373,9 +398,13 @@ AccStepResult AccInterpreter::Execute() {
         Value& target = stack_.back();
         if (target.is_multi()) {
           multivalent_++;
+          RequestClasses classes(n);
+          classes.Refine(target);
+          classes.Refine(v);
           std::vector<Value> results;
-          results.reserve(n);
-          for (size_t j = 0; j < n; j++) {
+          results.reserve(classes.size());
+          for (size_t c = 0; c < classes.size(); c++) {
+            size_t j = classes.rep(c);
             Value component = ProjectComponent(target, j);
             if (!component.is_array()) {
               return Fallback("append to non-array component");
@@ -383,7 +412,7 @@ AccStepResult AccInterpreter::Execute() {
             component.MutableArray().Append(ProjectComponent(v, j));
             results.push_back(std::move(component));
           }
-          target = MakeMultiCollapsed(std::move(results));
+          target = MakeMultiCollapsed(std::move(results), classes.TakeIndex());
         } else {
           // Univalue array: a multivalue cell is stored as-is (the dedup-friendly case).
           target.MutableArray().Append(std::move(v));
@@ -399,9 +428,14 @@ AccStepResult AccInterpreter::Execute() {
         Value& target = stack_.back();
         if (target.is_multi() || key.is_multi()) {
           multivalent_++;
+          RequestClasses classes(n);
+          classes.Refine(target);
+          classes.Refine(key);
+          classes.Refine(v);
           std::vector<Value> results;
-          results.reserve(n);
-          for (size_t j = 0; j < n; j++) {
+          results.reserve(classes.size());
+          for (size_t c = 0; c < classes.size(); c++) {
+            size_t j = classes.rep(c);
             Value component = ProjectComponent(target, j);
             if (!component.is_array()) {
               return Fallback("insert into non-array component");
@@ -413,7 +447,7 @@ AccStepResult AccInterpreter::Execute() {
             component.MutableArray().Set(k.value(), ProjectComponent(v, j));
             results.push_back(std::move(component));
           }
-          target = MakeMultiCollapsed(std::move(results));
+          target = MakeMultiCollapsed(std::move(results), classes.TakeIndex());
         } else {
           Result<ArrayKey> k = ToArrayKey(key);
           if (!k.ok()) {
@@ -440,9 +474,13 @@ AccStepResult AccInterpreter::Execute() {
           break;
         }
         multivalent_++;
+        RequestClasses classes(n);
+        classes.Refine(container);
+        classes.Refine(key);
         std::vector<Value> results;
-        results.reserve(n);
-        for (size_t j = 0; j < n; j++) {
+        results.reserve(classes.size());
+        for (size_t c = 0; c < classes.size(); c++) {
+          size_t j = classes.rep(c);
           Result<Value> r =
               ScalarIndexGet(ProjectComponent(container, j), ProjectComponent(key, j));
           if (!r.ok()) {
@@ -450,7 +488,7 @@ AccStepResult AccInterpreter::Execute() {
           }
           results.push_back(std::move(r).value());
         }
-        stack_.push_back(MakeMultiCollapsed(std::move(results)));
+        stack_.push_back(MakeMultiCollapsed(std::move(results), classes.TakeIndex()));
         break;
       }
 
@@ -514,12 +552,19 @@ AccStepResult AccInterpreter::Execute() {
             break;
           }
         }
-        // Split path: expand the variable into per-request components and assign
+        // Split path: expand the variable into per-class components and assign
         // componentwise (scalar expansion per §4.3).
         multivalent_++;
+        RequestClasses classes(n);
+        classes.Refine(slot);
+        for (const Value& kv : key_values) {
+          classes.Refine(kv);
+        }
+        classes.Refine(value);
         std::vector<Value> components;
-        components.reserve(n);
-        for (size_t j = 0; j < n; j++) {
+        components.reserve(classes.size());
+        for (size_t c = 0; c < classes.size(); c++) {
+          size_t j = classes.rep(c);
           Value component = ProjectComponent(slot, j);
           std::vector<ArrayKey> keys;
           keys.reserve(key_values.size());
@@ -536,7 +581,7 @@ AccStepResult AccInterpreter::Execute() {
           }
           components.push_back(std::move(component));
         }
-        slot = MakeMultiCollapsed(std::move(components));
+        slot = MakeMultiCollapsed(std::move(components), classes.TakeIndex());
         stack_.push_back(std::move(value));
         break;
       }
@@ -546,16 +591,18 @@ AccStepResult AccInterpreter::Execute() {
         stack_.pop_back();
         if (subject.is_multi()) {
           multivalent_++;
+          const MultiValue& m = subject.multi();
           Iter iter;
           iter.is_multi = true;
+          iter.index = m.index;
           iter.pos = 0;
           size_t entry_count = 0;
-          for (size_t j = 0; j < n; j++) {
-            Value component = ProjectComponent(subject, j);
+          for (size_t c = 0; c < m.values.size(); c++) {
+            const Value& component = m.values[c];
             if (!component.is_array()) {
               return Diverge("foreach subject is not an array for every request");
             }
-            if (j == 0) {
+            if (c == 0) {
               entry_count = component.array().size();
             } else if (component.array().size() != entry_count) {
               // Different iteration counts would have produced different control-flow
@@ -570,7 +617,7 @@ AccStepResult AccInterpreter::Execute() {
         if (!subject.is_array()) {
           return Trap("foreach over a non-array value");
         }
-        iters_.push_back({false, subject.array_ptr(), {}, 0});
+        iters_.push_back({false, subject.array_ptr(), {}, {}, 0});
         break;
       }
 
@@ -587,17 +634,19 @@ AccStepResult AccInterpreter::Execute() {
           multivalent_++;
           std::vector<Value> keys;
           std::vector<Value> values;
-          keys.reserve(n);
-          values.reserve(n);
-          for (size_t j = 0; j < n; j++) {
-            const auto& [k, v] = iter.arrays[j]->entries()[iter.pos];
+          keys.reserve(iter.arrays.size());
+          values.reserve(iter.arrays.size());
+          for (const Value::ArrayPtr& array : iter.arrays) {
+            const auto& [k, v] = array->entries()[iter.pos];
             keys.push_back(k.is_int() ? Value::Int(k.int_key()) : Value::Str(k.str_key()));
             values.push_back(v);
           }
           if (in.b >= 0) {
-            frame.slots[static_cast<size_t>(in.b)] = MakeMultiCollapsed(std::move(keys));
+            frame.slots[static_cast<size_t>(in.b)] =
+                MakeMultiCollapsed(std::move(keys), iter.index);
           }
-          frame.slots[static_cast<size_t>(in.c)] = MakeMultiCollapsed(std::move(values));
+          frame.slots[static_cast<size_t>(in.c)] =
+              MakeMultiCollapsed(std::move(values), iter.index);
         } else {
           const auto& [k, v] = iter.array->entries()[iter.pos];
           if (in.b >= 0) {
@@ -617,7 +666,8 @@ AccStepResult AccInterpreter::Execute() {
       case Op::kEcho: {
         Value v = std::move(stack_.back());
         stack_.pop_back();
-        if (!ContainsMulti(v)) {
+        RequestClasses classes(n);
+        if (!classes.Refine(v)) {
           std::string s = v.ToString();
           for (std::string& out : outputs_) {
             out += s;
@@ -625,8 +675,12 @@ AccStepResult AccInterpreter::Execute() {
           break;
         }
         multivalent_++;
+        std::vector<std::string> rendered(classes.size());
+        for (size_t c = 0; c < classes.size(); c++) {
+          rendered[c] = ProjectComponent(v, classes.rep(c)).ToString();
+        }
         for (size_t j = 0; j < n; j++) {
-          outputs_[j] += ProjectComponent(v, j).ToString();
+          outputs_[j] += rendered[classes.class_of(j)];
         }
         break;
       }

@@ -3,8 +3,10 @@
 // One AccInterpreter logically executes every request of a control-flow group at once.
 // Program state is held in (possibly) multivalues; an instruction whose operands are
 // univalues executes once ("univalently"), an instruction touching a multivalue executes
-// componentwise ("multivalently") and the result collapses back to a univalue whenever all
-// components re-converge. Branch decisions must agree across the group — a disagreement
+// once per class of requests whose operands agree ("multivalently", see RequestClasses in
+// value.h) and the result collapses back to a univalue whenever all components re-converge.
+// Classes are visited in order of their first request, so the first trapping component is
+// the first trapping request's. Branch decisions must agree across the group — a disagreement
 // means the untrusted control-flow grouping report was wrong and the audit must reject.
 //
 // Like the scalar interpreter, execution yields at shared-object operations and
@@ -62,7 +64,8 @@ class AccInterpreter {
   void ProvideUniform(Value v);
 
   size_t group_size() const { return params_.size(); }
-  const std::vector<std::string>& outputs() const { return outputs_; }
+  // Moves the per-request outputs (group order) out of the interpreter.
+  std::vector<std::string> TakeOutputs() { return std::move(outputs_); }
 
   // Statistics backing Figures 10/11: instruction executions and how many of them were
   // multivalent (took the componentwise path).
@@ -78,11 +81,12 @@ class AccInterpreter {
     size_t iter_base;
   };
 
-  // Iterator over either a univalue array or per-component arrays (all the same length).
+  // Iterator over either a univalue array or per-class arrays (all the same length).
   struct Iter {
     bool is_multi;
     Value::ArrayPtr array;                  // Univalue form.
-    std::vector<Value::ArrayPtr> arrays;    // Multi form (one per request).
+    std::vector<Value::ArrayPtr> arrays;    // Multi form (one per class of the subject).
+    std::vector<uint32_t> index;            // Multi form: class per request.
     size_t pos;
   };
 
@@ -91,10 +95,10 @@ class AccInterpreter {
   AccStepResult Fallback(const std::string& message);
   AccStepResult Execute();
 
-  // Splits a pure builtin call componentwise. Returns false (setting *failure) when a
-  // component traps (=> fallback).
-  bool SplitPureCall(const BuiltinInfo& info, std::vector<Value>& args, Value* out,
-                     std::string* failure);
+  // Splits a pure builtin call per class of `classes`. Returns false (setting *failure)
+  // when a component traps (=> fallback).
+  bool SplitPureCall(const BuiltinInfo& info, const std::vector<Value>& args,
+                     RequestClasses& classes, Value* out, std::string* failure);
 
   const Program* program_;
   std::vector<const RequestParams*> params_;

@@ -1,10 +1,13 @@
 #include "src/lang/value.h"
 
+#include <cassert>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 
+#include "src/common/crc32c.h"
 #include "src/common/hash.h"
 
 namespace orochi {
@@ -282,13 +285,14 @@ bool Value::DeepEquals(const Value& a, const Value& b) {
       return true;
     }
     case ValueType::kMulti: {
-      const auto& x = a.multi().items;
-      const auto& y = b.multi().items;
-      if (x.size() != y.size()) {
+      // Per request: two multis with different class layouts can still be equal.
+      const MultiValue& x = a.multi();
+      const MultiValue& y = b.multi();
+      if (x.index.size() != y.index.size()) {
         return false;
       }
-      for (size_t i = 0; i < x.size(); i++) {
-        if (!DeepEquals(x[i], y[i])) {
+      for (size_t j = 0; j < x.index.size(); j++) {
+        if (!DeepEquals(x.component(j), y.component(j))) {
           return false;
         }
       }
@@ -570,8 +574,8 @@ bool ContainsMulti(const Value& v) {
 
 Value ProjectComponent(const Value& v, size_t j) {
   if (v.is_multi()) {
-    const auto& items = v.multi().items;
-    return j < items.size() ? items[j] : Value::Null();
+    const MultiValue& m = v.multi();
+    return j < m.index.size() ? m.component(j) : Value::Null();
   }
   if (v.is_array()) {
     if (!ContainsMulti(v)) {
@@ -587,21 +591,184 @@ Value ProjectComponent(const Value& v, size_t j) {
   return v;
 }
 
-Value MakeMultiCollapsed(std::vector<Value> items) {
-  if (items.empty()) {
-    return Value::Null();
+bool RequestClasses::RefineSlow(const Value& v) {
+  if (v.is_multi()) {
+    RefineBy(v.multi());
+    return true;
   }
-  bool all_equal = true;
-  for (size_t i = 1; i < items.size(); i++) {
-    if (!Value::DeepEquals(items[0], items[i])) {
-      all_equal = false;
-      break;
+  bool found = false;
+  for (const auto& [k, cell] : v.array().entries()) {
+    (void)k;
+    found = Refine(cell) || found;
+  }
+  return found;
+}
+
+void RequestClasses::RefineBy(const MultiValue& m) {
+  assert(m.index.size() == n_);
+  if (reps_.empty()) {
+    // One class so far: the multivalue's own classes are the refinement.
+    index_ = m.index;
+    reps_.reserve(m.values.size());
+    for (size_t j = 0; j < n_; j++) {
+      if (index_[j] == reps_.size()) {
+        reps_.push_back(static_cast<uint32_t>(j));
+      }
+    }
+    return;
+  }
+  if (reps_.size() == n_ || index_ == m.index) {
+    return;  // Already as fine as possible, or refined by this very partition.
+  }
+  // New class = distinct (old class, m's class) pair, numbered in order of first request.
+  // Pairs are looked up in a flat table while it stays within a few entries per request,
+  // else in a hash map (two fine partitions would need a table quadratic in n).
+  const size_t k = m.values.size();
+  const size_t pairs = reps_.size() * k;
+  const uint32_t kUnset = UINT32_MAX;
+  std::vector<uint32_t> pair_table(pairs <= 4 * n_ ? pairs : 0, kUnset);
+  std::unordered_map<size_t, uint32_t> pair_map;
+  reps_.clear();
+  for (size_t j = 0; j < n_; j++) {
+    size_t pair = static_cast<size_t>(index_[j]) * k + m.index[j];
+    uint32_t& c = pair_table.empty() ? pair_map.try_emplace(pair, kUnset).first->second
+                                     : pair_table[pair];
+    if (c == kUnset) {
+      c = static_cast<uint32_t>(reps_.size());
+      reps_.push_back(static_cast<uint32_t>(j));
+    }
+    index_[j] = c;
+  }
+}
+
+std::vector<uint32_t> RequestClasses::TakeIndex() {
+  reps_.clear();
+  if (index_.empty()) {
+    return std::vector<uint32_t>(n_, 0);
+  }
+  return std::move(index_);
+}
+
+namespace {
+
+// Bucketing hash for merging classes: equal values hash equal. Strings hash in full
+// (CRC32C, hardware-accelerated), so unequal strings practically never share a bucket;
+// arrays hash by shape only (size and first/last entries), so hashing never walks a deep
+// array.
+uint64_t MergeHash(const Value& v, int depth = 1) {
+  uint64_t h = static_cast<uint64_t>(v.type());
+  switch (v.type()) {
+    case ValueType::kNull:
+    case ValueType::kMulti:
+      return h;
+    case ValueType::kBool:
+      return HashCombine(h, v.as_bool() ? 1 : 0);
+    case ValueType::kInt:
+      return HashCombine(h, static_cast<uint64_t>(v.as_int()));
+    case ValueType::kFloat:
+      return HashCombine(h, std::hash<double>{}(v.as_float()));
+    case ValueType::kString: {
+      const std::string& s = v.as_string();
+      return HashCombine(HashCombine(h, s.size()), Crc32c(s));
+    }
+    case ValueType::kArray: {
+      const auto& entries = v.array().entries();
+      h = HashCombine(h, entries.size());
+      if (depth == 0 || entries.empty()) {
+        return h;
+      }
+      h = HashCombine(h, entries.front().first.Hash());
+      h = HashCombine(h, MergeHash(entries.front().second, depth - 1));
+      return HashCombine(h, MergeHash(entries.back().second, depth - 1));
     }
   }
-  if (all_equal) {
-    return items[0];
+  return h;
+}
+
+// MakeMultiCollapsed; `per_request` says the components were computed once per request.
+Value Collapse(std::vector<Value> values, std::vector<uint32_t> index, bool per_request) {
+  const size_t k = values.size();
+  if (k == 0) {
+    return Value::Null();
   }
-  return Value::Multi(std::move(items));
+  // Collapse check first, as cheap as a plain all-equal scan: it stops at the first class
+  // that differs from class 0.
+  size_t first_diff = 1;
+  while (first_diff < k && Value::DeepEquals(values[0], values[first_diff])) {
+    first_diff++;
+  }
+  if (first_diff == k) {
+    return std::move(values[0]);
+  }
+  if (k == index.size() && !per_request) {
+    // Fast path: the operands put every request in its own class, so the components almost
+    // always differ as well, and merging would cost a hash per request for nothing. This
+    // keeps such groups as cheap as per-request execution. Per-request components (inputs,
+    // state-op and nondet results) always merge: that is where classes come from.
+    return Value::Multi(std::move(values), std::move(index));
+  }
+  // Merge the remaining classes into the first earlier one with an equal component, found
+  // through an open-addressing table keyed by MergeHash. A class is deep-compared only
+  // against kept classes with the same hash (DeepEquals checks identity before contents),
+  // and against at most kMaxProbes of those, so a group whose components all differ costs
+  // about one hash per class. Merging is best effort beyond that bound (it can only bind
+  // on arrays of one shape); the collapse rule above is exact.
+  constexpr size_t kMaxProbes = 4;
+  size_t table_size = 4;
+  while (table_size < 2 * k) {
+    table_size *= 2;
+  }
+  const size_t mask = table_size - 1;
+  std::vector<uint32_t> slots(table_size, 0);        // Kept class + 1; 0 = empty.
+  std::vector<uint32_t> merged(k, 0);                // Old class -> new class.
+  std::vector<std::pair<uint64_t, uint32_t>> kept;   // New class -> (hash, old class).
+  kept.reserve(k);
+  for (size_t c = 0; c < k; c++) {
+    if (c > 0 && c < first_diff) {
+      continue;  // Equal to class 0.
+    }
+    uint64_t h = MergeHash(values[c]);
+    size_t s = h & mask;
+    size_t probes = 0;
+    for (; slots[s] != 0; s = (s + 1) & mask) {
+      const auto& [kept_hash, kept_class] = kept[slots[s] - 1];
+      if (kept_hash == h && probes++ < kMaxProbes &&
+          Value::DeepEquals(values[kept_class], values[c])) {
+        break;
+      }
+    }
+    if (slots[s] == 0) {
+      kept.emplace_back(h, static_cast<uint32_t>(c));
+      slots[s] = static_cast<uint32_t>(kept.size());
+    }
+    merged[c] = slots[s] - 1;
+  }
+  if (kept.size() < k) {
+    std::vector<Value> distinct;
+    distinct.reserve(kept.size());
+    for (const auto& [hash, c] : kept) {
+      distinct.push_back(std::move(values[c]));
+    }
+    values = std::move(distinct);
+    for (uint32_t& c : index) {
+      c = merged[c];
+    }
+  }
+  return Value::Multi(std::move(values), std::move(index));
+}
+
+}  // namespace
+
+Value MakeMultiCollapsed(std::vector<Value> values, std::vector<uint32_t> index) {
+  return Collapse(std::move(values), std::move(index), /*per_request=*/false);
+}
+
+Value MakeMultiCollapsed(std::vector<Value> items) {
+  std::vector<uint32_t> index(items.size());
+  for (size_t j = 0; j < index.size(); j++) {
+    index[j] = static_cast<uint32_t>(j);
+  }
+  return Collapse(std::move(items), std::move(index), /*per_request=*/true);
 }
 
 }  // namespace orochi

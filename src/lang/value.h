@@ -4,6 +4,8 @@
 // semantics via copy-on-write), and multivalue. A multivalue holds one component per request
 // in a control-flow group and is the representation behind SIMD-on-demand re-execution
 // (paper §3.1, §4.3): instructions over identical components collapse back to scalars.
+// Components are stored once per distinct value, so work over a multivalue is done once
+// per class of requests that agree, not once per request.
 //
 // Values serialize to a canonical byte string (Serialize/DeserializeValue). Operation-log
 // report entries store operands in this form, so reports are plain untrusted data that the
@@ -85,11 +87,16 @@ class ArrayObject {
   int64_t next_index_ = 0;
 };
 
-// One component per request in a control-flow group. Components are never themselves
-// multivalues; arrays inside components may not contain multivalues either (projection
-// flattens them). Arrays *outside* (a univalue array whose cells are multivalues) are legal.
+// One component per request in a control-flow group, stored once per class of requests:
+// `values` holds the classes' components in order of each class's first request, and
+// `index[j]` is the class of request j. Components are never themselves multivalues; arrays
+// inside components may not contain multivalues either (projection flattens them). Arrays
+// *outside* (a univalue array whose cells are multivalues) are legal.
 struct MultiValue {
-  std::vector<Value> items;
+  std::vector<Value> values;
+  std::vector<uint32_t> index;
+
+  const Value& component(size_t j) const { return values[index[j]]; }
 };
 
 enum class ValueType : uint8_t {
@@ -120,9 +127,11 @@ class Value {
   static Value Str(StringPtr s) { return Value(Rep(std::move(s))); }
   static Value Array() { return Value(Rep(std::make_shared<ArrayObject>())); }
   static Value Array(ArrayPtr a) { return Value(Rep(std::move(a))); }
-  static Value Multi(std::vector<Value> items) {
+  // A multivalue as is, without merging or collapsing (see MakeMultiCollapsed).
+  static Value Multi(std::vector<Value> values, std::vector<uint32_t> index) {
     auto m = std::make_shared<MultiValue>();
-    m->items = std::move(items);
+    m->values = std::move(values);
+    m->index = std::move(index);
     return Value(Rep(std::move(m)));
   }
 
@@ -184,12 +193,47 @@ Result<Value> DeserializeValue(std::string_view bytes);
 // True if the value is a multivalue or an array (transitively) containing one.
 bool ContainsMulti(const Value& v);
 
-// Projects component j out of a (possibly multi) value: multivalues pick items[j]; arrays
-// are walked recursively (sharing is preserved when nothing changes). Scalars pass through.
+// Projects request j's component out of a (possibly multi) value: multivalues pick
+// component(j); arrays are walked recursively (sharing is preserved when nothing changes).
+// Scalars pass through.
 Value ProjectComponent(const Value& v, size_t j);
 
-// Builds a multivalue from per-request components, collapsing to a scalar when all
-// components are deeply equal (the "on-demand" part of SIMD-on-demand, §4.3).
+// A partition of a group's n requests into classes whose members see identical projections
+// of every value the partition was refined by. Class ids are dense and numbered in order
+// of each class's first request, so rep(c) ascends with c. Starts as one class.
+class RequestClasses {
+ public:
+  explicit RequestClasses(size_t n) : n_(n) {}
+
+  // Refines the classes by every multivalue inside v, including multivalue cells of
+  // univalue arrays. Returns true when v contains a multivalue.
+  bool Refine(const Value& v) {
+    return (v.is_multi() || v.is_array()) && RefineSlow(v);
+  }
+
+  size_t size() const { return reps_.empty() ? 1 : reps_.size(); }
+  // First request of class c.
+  size_t rep(size_t c) const { return reps_.empty() ? 0 : reps_[c]; }
+  // Class of request j.
+  uint32_t class_of(size_t j) const { return index_.empty() ? 0 : index_[j]; }
+  // Class per request (all zero while there is one class); leaves the partition empty.
+  std::vector<uint32_t> TakeIndex();
+
+ private:
+  bool RefineSlow(const Value& v);
+  void RefineBy(const MultiValue& m);
+
+  size_t n_;
+  std::vector<uint32_t> index_;  // Empty while there is one class.
+  std::vector<uint32_t> reps_;   // Empty while there is one class.
+};
+
+// Builds a multivalue from one component per class (`values[c]` for the requests j with
+// index[j] == c; classes numbered in order of first request) and merges classes whose
+// components are deeply equal. Collapses to a scalar exactly when every component is equal
+// (the "on-demand" part of SIMD-on-demand, §4.3).
+Value MakeMultiCollapsed(std::vector<Value> values, std::vector<uint32_t> index);
+// Same, from one component per request.
 Value MakeMultiCollapsed(std::vector<Value> items);
 
 }  // namespace orochi

@@ -37,6 +37,7 @@ struct AccRun {
   uint64_t total = 0;
   uint64_t multivalent = 0;
   AccStepResult::Kind final_kind;
+  std::string error;
 };
 
 AccRun RunAcc(const Program& prog, const std::vector<RequestParams>& params) {
@@ -50,12 +51,13 @@ AccRun RunAcc(const Program& prog, const std::vector<RequestParams>& params) {
   while (true) {
     AccStepResult step = acc.Run();
     out.final_kind = step.kind;
+    out.error = step.error;
     switch (step.kind) {
       case AccStepResult::Kind::kFinished:
       case AccStepResult::Kind::kError:
       case AccStepResult::Kind::kDiverged:
       case AccStepResult::Kind::kFallback:
-        out.outputs = acc.outputs();
+        out.outputs = acc.TakeOutputs();
         out.total = acc.total_instructions();
         out.multivalent = acc.multivalent_instructions();
         return out;
@@ -291,6 +293,123 @@ echo $r["a"]["b"] . "," . $r["a"]["c"];
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AccEquivalence, ::testing::Range(0, 10));
+
+// A six-request group drawn from a few distinct parameter sets: request j gets
+// distinct[pattern[j]].
+std::vector<RequestParams> SixRequests(const std::vector<RequestParams>& distinct,
+                                       const std::vector<int>& pattern) {
+  std::vector<RequestParams> params;
+  for (int p : pattern) {
+    params.push_back(distinct[static_cast<size_t>(p)]);
+  }
+  return params;
+}
+
+// Touches every multivalent path: binary/unary ops, pure builtins, index get on multi and
+// on univalue arrays with multi cells, array inserts, the index-set split, foreach over a
+// multi subject, state ops, nondet builtins, and echo.
+const char* kClassesScript = R"WS(
+$u = input("u");
+$n = intval(input("n"));
+$neg = -$n;
+$flag = !($n % 2);
+$row = array("name" => $u, "n" => $n, "c" => "const");
+$list = array();
+$list[] = $u;
+$list[] = strtoupper($u) . $neg;
+$key = "k" . ($n % 3);
+$map = array("base" => 0);
+$map[$key] = $n;
+$map["nest"][$u] = $flag;
+$parts = explode(",", input("csv"));
+$parts[] = $u;
+echo $row["name"] . ":" . $row["n"] . ":" . $row["c"] . ";";
+echo implode(",", $list) . ";" . count($map) . ":" . $map[$key] . ";";
+foreach ($parts as $i => $p) { echo $i . "=" . $p . ","; }
+$stored = kv_get("key:" . $u);
+echo ";" . $stored . ";" . time() . ";" . $map["nest"][$u] . ";" . $row . $map;
+)WS";
+
+const std::vector<RequestParams> kDistinctParams = {
+    {{"u", "ann"}, {"n", "4"}, {"csv", "a,b"}},
+    {{"u", "bob"}, {"n", "9"}, {"csv", "c,d"}},
+    {{"u", "ann"}, {"n", "7"}, {"csv", "a,b"}},
+};
+
+TEST(AccClasses, FewDistinctRequestsMatchScalarExecution) {
+  Program prog = Compile(kClassesScript);
+  const std::vector<std::vector<int>> patterns = {
+      {0, 1, 0, 1, 0, 1}, {1, 1, 0, 0, 1, 0}, {0, 1, 2, 2, 1, 0}, {2, 0, 0, 1, 2, 1}};
+  for (const std::vector<int>& pattern : patterns) {
+    std::vector<RequestParams> params = SixRequests(kDistinctParams, pattern);
+    AccRun group = RunAcc(prog, params);
+    ASSERT_EQ(group.final_kind, AccStepResult::Kind::kFinished) << group.error;
+    EXPECT_GT(group.multivalent, 0u);
+    for (size_t j = 0; j < params.size(); j++) {
+      EXPECT_EQ(group.outputs[j], RunScalar(prog, params[j])) << "member " << j;
+    }
+  }
+}
+
+TEST(AccClasses, InstructionCountsArePerInstructionNotPerComponent) {
+  // Pinned to the counts of the per-request implementation: deduplicating components
+  // changes how much work an instruction does, never how instructions are counted.
+  Program prog = Compile(kClassesScript);
+  AccRun group = RunAcc(prog, SixRequests(kDistinctParams, {0, 1, 2, 2, 1, 0}));
+  ASSERT_EQ(group.final_kind, AccStepResult::Kind::kFinished) << group.error;
+  EXPECT_EQ(group.total, 182u);
+  EXPECT_EQ(group.multivalent, 48u);
+}
+
+TEST(AccClasses, FallbackReasonComesFromFirstTrappingRequest) {
+  // Request classes trap differently; the reason must be the first trapping request's,
+  // whichever class it belongs to.
+  Program prog = Compile("echo input(\"a\") % input(\"b\");");
+  const std::vector<RequestParams> distinct = {
+      {{"a", "5"}, {"b", "2"}}, {{"a", "5"}, {"b", "0"}}, {{"a", "x"}, {"b", "2"}}};
+  AccRun mod_first = RunAcc(prog, SixRequests(distinct, {0, 0, 1, 2, 1, 0}));
+  EXPECT_EQ(mod_first.final_kind, AccStepResult::Kind::kFallback);
+  EXPECT_EQ(mod_first.error, "component trap in binary op: modulo by zero");
+  AccRun nonnumeric_first = RunAcc(prog, SixRequests(distinct, {0, 2, 1, 0, 1, 2}));
+  EXPECT_EQ(nonnumeric_first.final_kind, AccStepResult::Kind::kFallback);
+  EXPECT_EQ(nonnumeric_first.error,
+            "component trap in binary op: arithmetic on non-numeric value");
+}
+
+TEST(AccClasses, DivergesWhenClassesDisagreeOnABranch) {
+  Program prog = Compile(R"WS(
+$x = intval(input("x"));
+if ($x > 0) { echo "p"; } else { echo "n"; }
+)WS");
+  const std::vector<RequestParams> distinct = {{{"x", "1"}}, {{"x", "-1"}}, {{"x", "2"}}};
+  AccRun agree = RunAcc(prog, SixRequests(distinct, {0, 2, 0, 2, 2, 0}));
+  EXPECT_EQ(agree.final_kind, AccStepResult::Kind::kFinished);
+  AccRun split = RunAcc(prog, SixRequests(distinct, {0, 2, 0, 1, 2, 0}));
+  EXPECT_EQ(split.final_kind, AccStepResult::Kind::kDiverged);
+  EXPECT_EQ(split.error, "branch condition differs within control-flow group");
+}
+
+TEST(AccClasses, ForeachOverTwoClassSubject) {
+  Program prog = Compile(R"WS(
+$parts = explode(",", input("csv"));
+foreach ($parts as $i => $p) { echo $i . ":" . strtoupper($p) . ";"; }
+echo count($parts);
+)WS");
+  const std::vector<RequestParams> distinct = {{{"csv", "a,b,c"}}, {{"csv", "x,b,z"}}};
+  std::vector<RequestParams> params = SixRequests(distinct, {0, 1, 1, 0, 0, 1});
+  AccRun run = RunAcc(prog, params);
+  ASSERT_EQ(run.final_kind, AccStepResult::Kind::kFinished) << run.error;
+  EXPECT_GT(run.multivalent, 0u);
+  for (size_t j = 0; j < params.size(); j++) {
+    EXPECT_EQ(run.outputs[j], RunScalar(prog, params[j])) << "member " << j;
+  }
+  EXPECT_EQ(run.outputs[0], "0:A;1:B;2:C;3");
+  EXPECT_EQ(run.outputs[1], "0:X;1:B;2:Z;3");
+  // Lengths differing between the two classes is a wrong grouping.
+  const std::vector<RequestParams> uneven = {{{"csv", "a,b"}}, {{"csv", "a,b,c"}}};
+  EXPECT_EQ(RunAcc(prog, SixRequests(uneven, {0, 0, 1, 0, 1, 1})).final_kind,
+            AccStepResult::Kind::kDiverged);
+}
 
 }  // namespace
 }  // namespace orochi

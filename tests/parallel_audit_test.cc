@@ -3,7 +3,9 @@
 // never the verdict, the rejection reason, the final state, or the work-volume stats.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/auditor.h"
@@ -125,14 +127,47 @@ TEST(ParallelAudit, TamperedForumRejectedWithSameReasonAcrossThreadCounts) {
   ExpectSameVerdictAcrossThreadCounts(w, served, /*expect_accept=*/false);
 }
 
+// A kv-log swap that is a real tamper: a set S and the next get G of the same key from
+// another request, with no set of that key in between and S writing a value other than
+// the one the key held before. After the swap G reads the older value, so G's request
+// re-executes differently. Not every swap is a tamper: two gets of one key (which
+// concurrent serving may log first) swap into an equivalent log that a sound verifier
+// must accept. Returns {log.size(), log.size()} when no such pair exists.
+std::pair<size_t, size_t> ObservableKvSwap(const std::vector<OpRecord>& log) {
+  // Key -> serialized value of its latest set; "" (no serialization) while unset.
+  std::map<std::string, std::string> held;
+  // Key -> position of its latest set, while that set changed the key's value.
+  std::map<std::string, size_t> changed_by;
+  for (size_t i = 0; i < log.size(); i++) {
+    const OpRecord& op = log[i];
+    if (op.type == StateOpType::kKvSet) {
+      KvSetContents kv = ParseKvSetContents(op.contents).value();
+      std::string value = kv.value.Serialize();
+      if (value != held[kv.key]) {
+        changed_by[kv.key] = i;
+      } else {
+        changed_by.erase(kv.key);
+      }
+      held[kv.key] = value;
+    } else if (op.type == StateOpType::kKvGet) {
+      auto it = changed_by.find(op.contents);
+      if (it != changed_by.end() && log[it->second].rid != op.rid) {
+        return {it->second, i};
+      }
+    }
+  }
+  return {log.size(), log.size()};
+}
+
 TEST(ParallelAudit, TamperedLogRejectedWithSameReasonAcrossThreadCounts) {
   Workload w = SmallCounterWorkload(120);
   ServedWorkload served = ServeWorkload(w);
   int kv_object = served.reports.FindObject(ObjectKind::kKv, "");
   ASSERT_GE(kv_object, 0);
-  size_t log_size = served.reports.op_logs[static_cast<size_t>(kv_object)].size();
-  ASSERT_GE(log_size, 2u);
-  ASSERT_TRUE(SwapLogEntries(&served.reports, static_cast<size_t>(kv_object), 0, 1));
+  const std::vector<OpRecord>& log = served.reports.op_logs[static_cast<size_t>(kv_object)];
+  auto [set_pos, get_pos] = ObservableKvSwap(log);
+  ASSERT_LT(get_pos, log.size()) << "no observable swap in a " << log.size() << "-entry kv log";
+  ASSERT_TRUE(SwapLogEntries(&served.reports, static_cast<size_t>(kv_object), set_pos, get_pos));
   ExpectSameVerdictAcrossThreadCounts(w, served, /*expect_accept=*/false);
 }
 

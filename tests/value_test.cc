@@ -177,7 +177,7 @@ TEST(Deserialize, DepthLimited) {
 }
 
 TEST(Multi, ContainsMultiFindsNested) {
-  Value m = Value::Multi({Value::Int(1), Value::Int(2)});
+  Value m = Value::Multi({Value::Int(1), Value::Int(2)}, {0, 1});
   EXPECT_TRUE(ContainsMulti(m));
   Value arr = Value::Array();
   arr.MutableArray().Append(Value::Int(1));
@@ -196,7 +196,7 @@ TEST(Multi, ProjectComponentSharesUntouchedArrays) {
 TEST(Multi, ProjectComponentExtractsPerRequest) {
   Value arr = Value::Array();
   arr.MutableArray().Set(ArrayKey(std::string("x")),
-                         Value::Multi({Value::Int(10), Value::Int(20)}));
+                         Value::Multi({Value::Int(10), Value::Int(20)}, {0, 1}));
   Value p0 = ProjectComponent(arr, 0);
   Value p1 = ProjectComponent(arr, 1);
   EXPECT_EQ(p0.array().Find(ArrayKey(std::string("x")))->as_int(), 10);
@@ -212,11 +212,137 @@ TEST(Multi, CollapseWhenAllEqual) {
 TEST(Multi, NoCollapseWhenAnyDiffers) {
   Value v = MakeMultiCollapsed({Value::Int(1), Value::Int(1), Value::Int(2)});
   ASSERT_TRUE(v.is_multi());
-  EXPECT_EQ(v.multi().items.size(), 3u);
+  EXPECT_EQ(v.multi().index, (std::vector<uint32_t>{0, 0, 1}));
+  ASSERT_EQ(v.multi().values.size(), 2u);
+  EXPECT_EQ(v.multi().values[0].as_int(), 1);
+  EXPECT_EQ(v.multi().values[1].as_int(), 2);
 }
 
 TEST(Multi, EmptyCollapsesToNull) {
   EXPECT_TRUE(MakeMultiCollapsed({}).is_null());
+}
+
+TEST(Multi, EqualComponentsMergeIntoOneClass) {
+  Value v = MakeMultiCollapsed({Value::Str("a"), Value::Str("b"), Value::Str("a"),
+                                Value::Str("c"), Value::Str("b")});
+  ASSERT_TRUE(v.is_multi());
+  const MultiValue& m = v.multi();
+  ASSERT_EQ(m.values.size(), 3u);  // Distinct components, in order of first request.
+  EXPECT_EQ(m.values[0].as_string(), "a");
+  EXPECT_EQ(m.values[1].as_string(), "b");
+  EXPECT_EQ(m.values[2].as_string(), "c");
+  EXPECT_EQ(m.index, (std::vector<uint32_t>{0, 1, 0, 2, 1}));
+}
+
+TEST(Multi, EqualClassesMergeAndKeepFirstRequestOrder) {
+  // Classes 0 and 2 hold equal components: class 2 folds into 0 and ids stay dense.
+  Value v = MakeMultiCollapsed({Value::Int(7), Value::Int(8), Value::Int(7)}, {0, 1, 2, 1, 0});
+  ASSERT_TRUE(v.is_multi());
+  ASSERT_EQ(v.multi().values.size(), 2u);
+  EXPECT_EQ(v.multi().values[0].as_int(), 7);
+  EXPECT_EQ(v.multi().values[1].as_int(), 8);
+  EXPECT_EQ(v.multi().index, (std::vector<uint32_t>{0, 1, 0, 1, 0}));
+}
+
+TEST(Multi, ManyClassesMergeThroughHashBuckets) {
+  // More distinct components than the linear scan covers, plus long strings that share
+  // their first and last bytes: equal ones must still merge, unequal ones must not.
+  std::string pad(100, '=');
+  std::vector<Value> items;
+  for (int j = 0; j < 60; j++) {
+    items.push_back(Value::Str(pad + std::to_string(j % 30) + pad));
+  }
+  Value v = MakeMultiCollapsed(std::move(items));
+  ASSERT_TRUE(v.is_multi());
+  const MultiValue& m = v.multi();
+  ASSERT_EQ(m.values.size(), 30u);
+  for (size_t j = 0; j < 60; j++) {
+    EXPECT_EQ(m.index[j], j % 30);
+    EXPECT_EQ(m.component(j).as_string(), pad + std::to_string(j % 30) + pad);
+  }
+}
+
+TEST(Multi, CollapsesToUnivalueWhenEveryClassIsEqual) {
+  Value v = MakeMultiCollapsed({Value::Str("s"), Value::Str("s")}, {0, 1, 1, 0});
+  ASSERT_TRUE(v.is_string());
+  EXPECT_EQ(v.as_string(), "s");
+  // Components sharing one array (as per-request SELECT results do) collapse by identity.
+  Value rows = Value::Array();
+  rows.MutableArray().Append(Value::Int(1));
+  Value shared = MakeMultiCollapsed({rows, rows, rows});
+  ASSERT_TRUE(shared.is_array());
+  EXPECT_EQ(shared.array_ptr(), rows.array_ptr());
+}
+
+TEST(Multi, ProjectComponentReadsMultiCellsOfUnivalueArrays) {
+  Value arr = Value::Array();
+  arr.MutableArray().Set(ArrayKey(std::string("x")),
+                         Value::Multi({Value::Int(10), Value::Int(20)}, {0, 1, 1, 0}));
+  arr.MutableArray().Set(ArrayKey(std::string("y")), Value::Str("const"));
+  const int64_t expected[] = {10, 20, 20, 10};
+  for (size_t j = 0; j < 4; j++) {
+    Value p = ProjectComponent(arr, j);
+    ASSERT_TRUE(p.is_array());
+    EXPECT_FALSE(ContainsMulti(p));
+    EXPECT_EQ(p.array().Find(ArrayKey(std::string("x")))->as_int(), expected[j]);
+    EXPECT_EQ(p.array().Find(ArrayKey(std::string("y")))->as_string(), "const");
+  }
+}
+
+TEST(Multi, DeepEqualsComparesPerRequestAcrossClassLayouts) {
+  Value a = Value::Multi({Value::Int(1), Value::Int(2)}, {0, 1, 0});
+  Value b = Value::Multi({Value::Int(1), Value::Int(2), Value::Int(1)}, {0, 1, 2});
+  EXPECT_TRUE(Value::DeepEquals(a, b));
+  Value c = Value::Multi({Value::Int(1), Value::Int(2)}, {0, 1, 1});
+  EXPECT_FALSE(Value::DeepEquals(a, c));
+}
+
+TEST(RequestClasses, RefinesByEveryMultiInsideOperands) {
+  RequestClasses classes(6);
+  EXPECT_FALSE(classes.Refine(Value::Int(3)));
+  EXPECT_EQ(classes.size(), 1u);
+  Value x = Value::Multi({Value::Int(1), Value::Int(2)}, {0, 0, 1, 1, 0, 1});
+  Value y = Value::Multi({Value::Str("p"), Value::Str("q")}, {0, 1, 0, 1, 0, 0});
+  Value arr = Value::Array();
+  arr.MutableArray().Append(Value::Str("plain"));
+  arr.MutableArray().Append(y);  // A multi cell of a univalue array refines too.
+  EXPECT_TRUE(classes.Refine(x));
+  EXPECT_TRUE(classes.Refine(arr));
+  // Classes are the distinct (x, y) pairs, numbered by first request.
+  ASSERT_EQ(classes.size(), 4u);
+  EXPECT_EQ(classes.rep(0), 0u);
+  EXPECT_EQ(classes.rep(1), 1u);
+  EXPECT_EQ(classes.rep(2), 2u);
+  EXPECT_EQ(classes.rep(3), 3u);
+  EXPECT_EQ(classes.TakeIndex(), (std::vector<uint32_t>{0, 1, 2, 3, 0, 2}));
+}
+
+TEST(RequestClasses, FinePartitionsRefineWithoutAQuadraticTable) {
+  // 20 x 10 class pairs over 40 requests: more pairs than the flat table takes.
+  const size_t n = 40;
+  std::vector<Value> x_values;
+  std::vector<Value> y_values;
+  std::vector<uint32_t> x_index;
+  std::vector<uint32_t> y_index;
+  for (size_t j = 0; j < n; j++) {
+    x_index.push_back(static_cast<uint32_t>(j % 20));
+    y_index.push_back(static_cast<uint32_t>((j / 2) % 10));
+  }
+  for (int c = 0; c < 20; c++) {
+    x_values.push_back(Value::Int(c));
+  }
+  for (int c = 0; c < 10; c++) {
+    y_values.push_back(Value::Int(100 + c));
+  }
+  RequestClasses classes(n);
+  classes.Refine(Value::Multi(x_values, x_index));
+  classes.Refine(Value::Multi(y_values, y_index));
+  // Request j and j + 20 agree on both; the first 20 requests are pairwise distinct.
+  ASSERT_EQ(classes.size(), 20u);
+  for (size_t c = 0; c < 20; c++) {
+    EXPECT_EQ(classes.rep(c), c);
+  }
+  EXPECT_EQ(classes.TakeIndex(), x_index);
 }
 
 }  // namespace
