@@ -81,38 +81,6 @@ AuditPlan PlanAuditTasks(AuditContext* ctx, const Reports& reports, const Applic
   return plan;
 }
 
-namespace {
-
-// Shared by ExecuteAuditPlan and PoolDispatchOrder: indexes of the plan's non-serial
-// tasks in the order the pool will claim them. Costliest chunk first minimizes makespan
-// (cost = requests + total reported op-length; see AuditTask::cost); scheduling order
-// never affects the verdict.
-std::vector<size_t> PoolDispatchIndexes(const std::vector<AuditTask>& tasks,
-                                        size_t num_threads) {
-  std::vector<size_t> pool;
-  for (size_t i = 0; i < tasks.size(); i++) {
-    if (!tasks[i].serial) {
-      pool.push_back(i);
-    }
-  }
-  if (num_threads > 1 && pool.size() > 1) {
-    std::stable_sort(pool.begin(), pool.end(),
-                     [&](size_t a, size_t b) { return tasks[a].cost > tasks[b].cost; });
-  }
-  return pool;
-}
-
-}  // namespace
-
-std::vector<const AuditTask*> PoolDispatchOrder(const AuditPlan& plan,
-                                                size_t num_threads) {
-  std::vector<const AuditTask*> order;
-  for (size_t i : PoolDispatchIndexes(plan.tasks, num_threads)) {
-    order.push_back(&plan.tasks[i]);
-  }
-  return order;
-}
-
 AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
                                   const AuditOptions& options, const AuditPlan& plan,
                                   AuditTaskGate* gate, AuditTaskJournal* journal) {
@@ -161,8 +129,7 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
         }
       }
       if (gate != nullptr) {
-        // Budget waits + whatever preads the prefetcher did not hide: the span that
-        // shrinks when read-ahead works.
+        // Budget waits + the chunk's synchronous preads.
         obs::TraceSpan span(options.tracer, obs::Phase::kPass2IoWait);
         if (Status st = gate->Acquire(task); !st.ok()) {
           task_error[i] = st.error();
@@ -198,11 +165,13 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
     };
 
     const size_t num_threads = threads.value();
-    std::vector<size_t> pool_tasks = PoolDispatchIndexes(tasks, num_threads);
+    std::vector<size_t> pool_tasks;
     std::vector<size_t> serial_tasks;
     for (size_t i = 0; i < tasks.size(); i++) {
       if (tasks[i].serial) {
         serial_tasks.push_back(i);
+      } else {
+        pool_tasks.push_back(i);
       }
     }
     if (num_threads <= 1 || pool_tasks.size() <= 1) {
@@ -210,6 +179,10 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
         run_task(i);
       }
     } else {
+      // Costliest chunk first minimizes makespan (cost = requests + total reported
+      // op-length; see AuditTask::cost); scheduling order never affects the verdict.
+      std::stable_sort(pool_tasks.begin(), pool_tasks.end(),
+                       [&](size_t a, size_t b) { return tasks[a].cost > tasks[b].cost; });
       WorkStealPool(std::min(num_threads, pool_tasks.size())).Run(pool_tasks, run_task);
     }
     for (size_t i : serial_tasks) {

@@ -37,7 +37,7 @@ enum class Phase : int {
   kPass1Skeleton,        // Streaming trace/reports files into skeletons + offset indexes.
   kPrepare,              // Report processing + versioned-store builds (Figure 9's first two).
   kPass2IoWait,          // Worker time blocked in the chunk gate paging bytes in (budget
-                         // waits + preads the prefetcher did not hide).
+                         // waits + the chunk's synchronous preads).
   kPass2Execute,         // One span per re-executed group chunk (grouped re-execution).
   kCheckpointReplay,     // Journaled chunks replayed instead of re-executed on resume.
   kPass3Compare,         // Produced-output vs. trace comparison.

@@ -8,12 +8,23 @@
 
 #include "src/core/audit_session.h"
 #include "src/stream/chunk_loader.h"
-#include "src/stream/prefetch.h"
 #include "src/stream/reports_index.h"
 #include "src/stream/shard_merge.h"
 #include "src/stream/trace_index.h"
 
 namespace orochi {
+
+// Compatibility declarations, inert: pass 2 has no read-ahead, and nothing reads or
+// writes these. They exist only so that callers written against the removed read-ahead
+// pipeline still compile: kDefaultPrefetchDepth, PrefetchStats,
+// StreamAuditHooks::prefetch_stats (never written) and AuditOptions::prefetch_depth
+// (never read). They go away together with their last caller.
+inline constexpr size_t kDefaultPrefetchDepth = 0;
+struct PrefetchStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t revoked = 0;
+};
 
 struct StreamAuditHooks {
   // Overrides the trace payload loader. The hook's Load/Evict see exactly the point reads
@@ -27,9 +38,7 @@ struct StreamAuditHooks {
   // governs trace payloads AND op-log contents. Not owned; lets a bench read peak_bytes()
   // after the audit returns.
   ChunkBudget* budget = nullptr;
-  // When non-null, receives the pass-2 prefetch pipeline's final counters after the
-  // audit returns (all zero when read-ahead resolved to depth 0 or the plan had no pool
-  // tasks). Not owned.
+  // Inert (see the compatibility block above): never written.
   PrefetchStats* prefetch_stats = nullptr;
 };
 

@@ -13,6 +13,7 @@
 //      and actually reuses journaled progress instead of redoing it — pass-2 chunk tasks
 //      (kill mid-pass-2), Prepare scan watermarks (kill mid-Prepare), and the pass-3
 //      compare watermark (kill mid-compare).
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <vector>
@@ -234,46 +235,50 @@ TEST(FaultInjection, ResumeAfterMidAuditKillIsBitIdentical) {
   ASSERT_TRUE(ref.value().accepted) << ref.value().reason;
   const std::string ref_fp = InitialStateFingerprint(ref.value().final_state);
 
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (size_t budget : {size_t{64}, size_t{4096}, size_t{0}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " budget=" + std::to_string(budget));
-      const std::string checkpoint = ::testing::TempDir() + "/fi_resume_" +
-                                     std::to_string(threads) + "_" +
-                                     std::to_string(budget) + ".ckpt";
-      AuditOptions opts;
-      opts.num_threads = threads;
-      opts.max_group_size = 8;
-      opts.max_resident_bytes = budget;
-      opts.checkpoint_path = checkpoint;
+  // Run 1 is killed mid-pass-2 after 80 or 120 of the 160 payload loads (~10 or ~15 of
+  // the 20 chunk tasks retired and journaled); pass 2 needs every payload once, so both
+  // kill points land before it finishes.
+  for (uint64_t allowed : {uint64_t{80}, uint64_t{120}}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      for (size_t budget : {size_t{64}, size_t{4096}, size_t{0}}) {
+        SCOPED_TRACE("allowed=" + std::to_string(allowed) + " threads=" +
+                     std::to_string(threads) + " budget=" + std::to_string(budget));
+        const std::string checkpoint =
+            ::testing::TempDir() + "/fi_resume_" + std::to_string(allowed) + "_" +
+            std::to_string(threads) + "_" + std::to_string(budget) + ".ckpt";
+        AuditOptions opts;
+        opts.num_threads = threads;
+        opts.max_group_size = 8;
+        opts.max_resident_bytes = budget;
+        opts.checkpoint_path = checkpoint;
 
-      // Run 1: killed mid-pass-2 after 80 payload loads (~10 of 20 chunk tasks).
-      StreamTraceSet probe;
-      ASSERT_TRUE(probe.AppendFile(trace_path).ok());
-      KillSwitchLoader killer(&probe, /*allowed=*/80);
-      StreamAuditHooks hooks;
-      hooks.loader = &killer;
-      AuditSession first = AuditSession::Open(&w.app, opts, served.initial);
-      Result<AuditResult> killed =
-          first.FeedEpochFilesStreamed(trace_path, reports_path, &hooks);
-      ASSERT_FALSE(killed.ok());
-      EXPECT_EQ(ClassifyAuditOutcome(killed), AuditOutcome::kIoError) << killed.error();
-      // The kill left the checkpoint behind for the resume.
-      Result<bool> left = Env::Default()->FileExists(checkpoint);
-      ASSERT_TRUE(left.ok() && left.value());
+        StreamTraceSet probe;
+        ASSERT_TRUE(probe.AppendFile(trace_path).ok());
+        KillSwitchLoader killer(&probe, allowed);
+        StreamAuditHooks hooks;
+        hooks.loader = &killer;
+        AuditSession first = AuditSession::Open(&w.app, opts, served.initial);
+        Result<AuditResult> killed =
+            first.FeedEpochFilesStreamed(trace_path, reports_path, &hooks);
+        ASSERT_FALSE(killed.ok());
+        EXPECT_EQ(ClassifyAuditOutcome(killed), AuditOutcome::kIoError) << killed.error();
+        // The kill left the checkpoint behind for the resume.
+        Result<bool> left = Env::Default()->FileExists(checkpoint);
+        ASSERT_TRUE(left.ok() && left.value());
 
-      // Run 2: clean resume over the same files and checkpoint.
-      AuditSession resumed = AuditSession::Open(&w.app, opts, served.initial);
-      Result<AuditResult> got = resumed.FeedEpochFilesStreamed(trace_path, reports_path);
-      ASSERT_TRUE(got.ok()) << got.error();
-      EXPECT_TRUE(got.value().accepted) << got.value().reason;
-      EXPECT_EQ(got.value().reason, ref.value().reason);
-      EXPECT_EQ(InitialStateFingerprint(got.value().final_state), ref_fp);
-      // The resume genuinely reused journaled chunks instead of re-executing them.
-      EXPECT_GT(got.value().stats.checkpoint_chunks_reused, 0u);
-      // A verdict spends the checkpoint.
-      Result<bool> spent = Env::Default()->FileExists(checkpoint);
-      EXPECT_TRUE(spent.ok() && !spent.value());
+        // Run 2: clean resume over the same files and checkpoint.
+        AuditSession resumed = AuditSession::Open(&w.app, opts, served.initial);
+        Result<AuditResult> got = resumed.FeedEpochFilesStreamed(trace_path, reports_path);
+        ASSERT_TRUE(got.ok()) << got.error();
+        EXPECT_TRUE(got.value().accepted) << got.value().reason;
+        EXPECT_EQ(got.value().reason, ref.value().reason);
+        EXPECT_EQ(InitialStateFingerprint(got.value().final_state), ref_fp);
+        // The resume genuinely reused journaled chunks instead of re-executing them.
+        EXPECT_GT(got.value().stats.checkpoint_chunks_reused, 0u);
+        // A verdict spends the checkpoint.
+        Result<bool> spent = Env::Default()->FileExists(checkpoint);
+        EXPECT_TRUE(spent.ok() && !spent.value());
+      }
     }
   }
 }
@@ -388,10 +393,6 @@ TEST(FaultInjection, ResumeAfterMidCompareKillIsBitIdentical) {
     opts.max_group_size = 8;
     opts.max_resident_bytes = 4096;
     opts.checkpoint_path = checkpoint;
-    // Read-ahead off: this test's kill point is load-count arithmetic, and a revoked
-    // prefetched chunk is legitimately loaded twice. Kill/resume parity WITH read-ahead
-    // is covered by FaultInjection.ResumeWithPrefetchOnIsBitIdentical.
-    opts.prefetch_depth = 0;
 
     // Run 1: killed mid-pass-3. Pass 2 loads each of the 160 request payloads exactly
     // once; allowing 200 loads retires all of pass 2 (journaling every chunk) and dies
@@ -427,94 +428,20 @@ TEST(FaultInjection, ResumeAfterMidCompareKillIsBitIdentical) {
   }
 }
 
-// PR-10 twin of the mid-pass-2 kill test, with the read-ahead pipeline ON. The kill-point
-// arithmetic is looser here — a revoked prefetched chunk is legitimately loaded twice, so
-// 120 allowed loads of the 160 payloads only guarantees "killed somewhere inside pass 2
-// with at least one chunk retired" — but that is exactly the property under test: a crash
-// while the prefetcher holds in-flight and ready-but-unclaimed chunks must leave a
-// checkpoint that a prefetch-enabled resume replays to a bit-identical verdict.
-TEST(FaultInjection, ResumeWithPrefetchOnIsBitIdentical) {
-  Workload w = CounterWorkload(160);
-  ServedWorkload served = ServeWorkload(w);
-  const std::string trace_path = ::testing::TempDir() + "/fi_pf_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/fi_pf_reports.bin";
-  ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
-  ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
-
-  AuditOptions ref_opts;
-  ref_opts.num_threads = 1;
-  ref_opts.max_group_size = 8;
-  AuditSession ref_session = AuditSession::Open(&w.app, ref_opts, served.initial);
-  Result<AuditResult> ref = ref_session.FeedEpochFiles(trace_path, reports_path);
-  ASSERT_TRUE(ref.ok() && ref.value().accepted)
-      << (ref.ok() ? ref.value().reason : ref.error());
-  const std::string ref_fp = InitialStateFingerprint(ref.value().final_state);
-
-  for (size_t threads : {size_t{1}, size_t{2}}) {
-    for (size_t budget : {size_t{64}, size_t{4096}, size_t{0}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " budget=" + std::to_string(budget));
-      const std::string checkpoint = ::testing::TempDir() + "/fi_pf_" +
-                                     std::to_string(threads) + "_" +
-                                     std::to_string(budget) + ".ckpt";
-      AuditOptions opts;
-      opts.num_threads = threads;
-      opts.max_group_size = 8;
-      opts.max_resident_bytes = budget;
-      opts.checkpoint_path = checkpoint;
-      opts.prefetch_depth = 4;
-
-      // Run 1: killed inside pass 2 — completion needs every payload loaded at least
-      // once, so 120 < 160 always dies early, prefetched double-loads only sooner.
-      StreamTraceSet probe;
-      ASSERT_TRUE(probe.AppendFile(trace_path).ok());
-      KillSwitchLoader killer(&probe, /*allowed=*/120);
-      StreamAuditHooks hooks;
-      hooks.loader = &killer;
-      AuditSession first = AuditSession::Open(&w.app, opts, served.initial);
-      Result<AuditResult> killed =
-          first.FeedEpochFilesStreamed(trace_path, reports_path, &hooks);
-      ASSERT_FALSE(killed.ok());
-      EXPECT_EQ(ClassifyAuditOutcome(killed), AuditOutcome::kIoError) << killed.error();
-      Result<bool> left = Env::Default()->FileExists(checkpoint);
-      ASSERT_TRUE(left.ok() && left.value());
-
-      // Run 2: clean resume, read-ahead still on. Journaled chunks replay without
-      // touching the gate (the walk cedes them), the rest flow through the live
-      // pipeline, and the verdict is bit-identical to the uninterrupted reference.
-      PrefetchStats stats;
-      StreamAuditHooks resume_hooks;
-      resume_hooks.prefetch_stats = &stats;
-      AuditSession resumed = AuditSession::Open(&w.app, opts, served.initial);
-      Result<AuditResult> got =
-          resumed.FeedEpochFilesStreamed(trace_path, reports_path, &resume_hooks);
-      ASSERT_TRUE(got.ok()) << got.error();
-      EXPECT_TRUE(got.value().accepted) << got.value().reason;
-      EXPECT_EQ(got.value().reason, ref.value().reason);
-      EXPECT_EQ(InitialStateFingerprint(got.value().final_state), ref_fp);
-      EXPECT_GT(got.value().stats.checkpoint_chunks_reused, 0u);
-      // The kill landed before pass 2 finished, so the resume had live chunks to run —
-      // and ran them through the pipeline (every gate acquire is a hit or a miss).
-      EXPECT_GT(stats.hits + stats.misses, 0u);
-      Result<bool> spent = Env::Default()->FileExists(checkpoint);
-      EXPECT_TRUE(spent.ok() && !spent.value());
-    }
-  }
-}
-
-// Seeded-EIO sweep with the read-ahead pipeline forced on: injected read faults now also
-// land on the prefetch thread's preads. The taxonomy must hold regardless of which
-// thread's read draws the fault — absorbable faults stay invisible, hard faults surface
-// as I/O errors attributed to a file (never as tampering), and an accept still
-// reproduces the true final state.
-TEST(FaultInjection, SeededEioDuringPrefetchKeepsTheOutcomeTaxonomy) {
+// Seeded read-fault sweep over clean spill files: only the audit's own reads draw
+// faults, at twice the main sweep's hard-error rate, with two pass-2 workers paging
+// chunks under a 2 KiB budget. The taxonomy must hold regardless of which worker's read
+// draws the fault — absorbable faults stay invisible, hard faults surface as I/O errors
+// attributed to a file (never as tampering) without consuming the epoch, and an accept
+// still reproduces the true final state.
+TEST(FaultInjection, SeededEioDuringPass2KeepsTheOutcomeTaxonomy) {
   const uint64_t base_seed = TestBaseSeed(0xFA10);
   SCOPED_TRACE(SeedTraceMessage(base_seed));
   Workload w = CounterWorkload(64);
   ServedWorkload served = ServeWorkload(w);
   const std::string truth = InitialStateFingerprint(served.final_state);
-  const std::string trace_path = ::testing::TempDir() + "/fi_pf_sweep_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/fi_pf_sweep_reports.bin";
+  const std::string trace_path = ::testing::TempDir() + "/fi_eio_sweep_trace.bin";
+  const std::string reports_path = ::testing::TempDir() + "/fi_eio_sweep_reports.bin";
   // Spill once with the default env: every schedule below audits the same clean files.
   ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
   ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
@@ -538,7 +465,6 @@ TEST(FaultInjection, SeededEioDuringPrefetchKeepsTheOutcomeTaxonomy) {
     opts.num_threads = 2;
     opts.max_group_size = 8;
     opts.max_resident_bytes = 2048;
-    opts.prefetch_depth = 3;
     opts.io_env = &env;
     AuditSession session = AuditSession::Open(&w.app, opts, served.initial);
     Result<AuditResult> r = session.FeedEpochFilesStreamed(trace_path, reports_path);
@@ -618,6 +544,39 @@ TEST(FaultInjection, StaleCheckpointFromDifferentEpochIsIgnored) {
   EXPECT_EQ(got.value().stats.checkpoint_chunks_reused, 0u);
   EXPECT_EQ(InitialStateFingerprint(got.value().final_state),
             InitialStateFingerprint(served.final_state));
+}
+
+// A rejection reached inside Prepare (CheckLogs: the alleged op counts disagree with
+// the logs) is a verdict like any other, so it must spend the checkpoint journal too —
+// not leave a sidecar that only a later fingerprint mismatch would discard.
+TEST(FaultInjection, PrepareRejectSpendsTheCheckpoint) {
+  Workload w = CounterWorkload(40);
+  ServedWorkload served = ServeWorkload(w);
+  ASSERT_FALSE(served.reports.op_counts.empty());
+  RequestId bumped = served.reports.op_counts.begin()->first;
+  for (const auto& [rid, count] : served.reports.op_counts) {
+    (void)count;
+    bumped = std::min(bumped, rid);
+  }
+  served.reports.op_counts[bumped]++;
+  const std::string trace_path = ::testing::TempDir() + "/fi_prep_reject_trace.bin";
+  const std::string reports_path = ::testing::TempDir() + "/fi_prep_reject_reports.bin";
+  const std::string checkpoint = ::testing::TempDir() + "/fi_prep_reject.ckpt";
+  ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
+  ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
+
+  AuditOptions opts;
+  opts.num_threads = 2;
+  opts.max_resident_bytes = 4096;
+  opts.checkpoint_path = checkpoint;
+  AuditSession session = AuditSession::Open(&w.app, opts, served.initial);
+  Result<AuditResult> got = session.FeedEpochFilesStreamed(trace_path, reports_path);
+  ASSERT_TRUE(got.ok()) << got.error();
+  EXPECT_EQ(ClassifyAuditOutcome(got), AuditOutcome::kRejected);
+  EXPECT_NE(got.value().reason.find("CheckLogs"), std::string::npos) << got.value().reason;
+  Result<bool> spent = Env::Default()->FileExists(checkpoint);
+  ASSERT_TRUE(spent.ok());
+  EXPECT_FALSE(spent.value()) << "a Prepare-phase REJECT left " << checkpoint;
 }
 
 // --- Error propagation out of the server-side spill paths (satellite coverage) ---
