@@ -4,6 +4,11 @@
 //
 // Correctness cross-checks ride along: every thread count must produce the same verdict
 // and the same final-state fingerprint as the single-threaded run.
+//
+// Per point, from AuditResult::phases: serial_seconds is the single-threaded phases
+// (prepare + proc_op_reports + store_build + pass3_compare) and pass2_worker_seconds is
+// pass2_execute summed over the workers, so pass2_worker_seconds / (total_seconds -
+// serial_seconds) approximates how many workers were busy.
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -20,7 +25,8 @@ struct Sweep {
   size_t requests = 0;
   struct Point {
     size_t threads;
-    double reexec_seconds;
+    double serial_seconds;
+    double pass2_worker_seconds;
     double total_seconds;
     bool accepted;
     bool matches_single_thread;
@@ -51,10 +57,14 @@ Sweep RunSweep(const char* name, const Workload& w) {
       base_fp = fp;
       base_accepted = r.accepted;
     }
-    sweep.points.push_back({threads, r.stats.reexec_seconds, total, r.accepted,
+    using obs::Phase;
+    const double serial = r.phases[Phase::kPrepare] + r.phases[Phase::kProcOpReports] +
+                          r.phases[Phase::kStoreBuild] + r.phases[Phase::kPass3Compare];
+    const double pass2 = r.phases[Phase::kPass2Execute];
+    sweep.points.push_back({threads, serial, pass2, total, r.accepted,
                             r.accepted == base_accepted && fp == base_fp});
-    std::fprintf(stderr, "  %-6s threads=%zu reexec=%.3fs total=%.3fs %s\n", name, threads,
-                 r.stats.reexec_seconds, total, r.accepted ? "ACCEPT" : "REJECT");
+    std::fprintf(stderr, "  %-6s threads=%zu serial=%.3fs pass2_workers=%.3fs total=%.3fs %s\n",
+                 name, threads, serial, pass2, total, r.accepted ? "ACCEPT" : "REJECT");
   }
   return sweep;
 }
@@ -75,10 +85,11 @@ void EmitJson(const std::vector<Sweep>& sweeps) {
     for (size_t j = 0; j < s.points.size(); j++) {
       const Sweep::Point& p = s.points[j];
       std::fprintf(f,
-                   "      {\"threads\": %zu, \"reexec_seconds\": %.6f, "
-                   "\"total_seconds\": %.6f, \"speedup_vs_1\": %.3f, \"accepted\": %s, "
+                   "      {\"threads\": %zu, \"serial_seconds\": %.6f, "
+                   "\"pass2_worker_seconds\": %.6f, \"total_seconds\": %.6f, "
+                   "\"speedup_vs_1\": %.3f, \"accepted\": %s, "
                    "\"matches_single_thread\": %s}%s\n",
-                   p.threads, p.reexec_seconds, p.total_seconds,
+                   p.threads, p.serial_seconds, p.pass2_worker_seconds, p.total_seconds,
                    p.total_seconds > 0 ? base / p.total_seconds : 0.0,
                    p.accepted ? "true" : "false",
                    p.matches_single_thread ? "true" : "false",

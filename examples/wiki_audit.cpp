@@ -52,10 +52,12 @@ int main() {
   }
   std::printf("verifier speedup: %.1fx\n", baseline_seconds / grouped_seconds);
   const AuditStats& gs = grouped.stats;
-  std::printf("grouped audit breakdown: procOpRep %.3fs, db redo %.3fs, reexec %.3fs "
-              "(db query %.3fs), other %.3fs\n",
-              gs.proc_op_reports_seconds, gs.db_redo_seconds, gs.reexec_seconds,
-              gs.db_query_seconds, gs.other_seconds);
+  const obs::PhaseBreakdown& gp = grouped.phases;
+  using obs::Phase;
+  std::printf("grouped audit breakdown (worker-seconds): procOpRep %.3fs, db redo %.3fs, "
+              "reexec %.3fs (db query %.3fs), other %.3fs\n",
+              gp[Phase::kProcOpReports], gp[Phase::kStoreBuild], gp[Phase::kPass2Execute],
+              gp[Phase::kSqlQuery], gp[Phase::kPrepare] + gp[Phase::kPass3Compare]);
   std::printf("grouped instructions: %llu total, %llu multivalent; baseline instructions: "
               "%llu\n",
               static_cast<unsigned long long>(gs.total_instructions),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/timer.h"
 #include "src/objects/db_adapter.h"
 #include "src/sql/sql_parser.h"
 
@@ -11,11 +10,6 @@ namespace orochi {
 const std::vector<NondetRecord> AuditContext::kNoNondet;
 
 void AuditStats::MergeFrom(const AuditStats& o) {
-  proc_op_reports_seconds += o.proc_op_reports_seconds;
-  db_redo_seconds += o.db_redo_seconds;
-  reexec_seconds += o.reexec_seconds;
-  db_query_seconds += o.db_query_seconds;
-  other_seconds += o.other_seconds;
   total_instructions += o.total_instructions;
   multivalent_instructions += o.multivalent_instructions;
   num_groups += o.num_groups;
@@ -39,7 +33,7 @@ AuditContext::AuditContext(const Trace* trace, const Reports* reports, const App
 
 Status AuditContext::Prepare() {
   {
-    ScopedAccumulator t(&stats_.other_seconds);
+    obs::TraceSpan span(options_.tracer, obs::Phase::kPrepare);
     if (Status st = CheckTraceBalanced(*trace_); !st.ok()) {
       return st;
     }
@@ -59,7 +53,7 @@ Status AuditContext::Prepare() {
     }
   }
   {
-    ScopedAccumulator t(&stats_.proc_op_reports_seconds);
+    obs::TraceSpan span(options_.tracer, obs::Phase::kProcOpReports);
     Result<ProcessedReports> processed = ProcessOpReports(*trace_, *reports_);
     if (!processed.ok()) {
       return Status::Error(processed.error());
@@ -67,7 +61,7 @@ Status AuditContext::Prepare() {
     processed_ = std::move(processed).value();
   }
   {
-    ScopedAccumulator t(&stats_.db_redo_seconds);
+    obs::TraceSpan span(options_.tracer, obs::Phase::kStoreBuild);
     kv_object_ = reports_->FindObject(ObjectKind::kKv, "");
     db_object_ = reports_->FindObject(ObjectKind::kDb, "");
     if (Status st = BuildRegisterIndexes(); !st.ok()) {
@@ -374,7 +368,7 @@ Result<Value> AuditContext::RunSelect(const std::string& sql, uint64_t ts,
   // SELECT, so issued + deduped always equals the number of logical SELECTs simulated.
   ws->stats->db_selects_issued++;
   Result<StmtResult> r = [&] {
-    ScopedAccumulator t(&ws->stats->db_query_seconds);
+    obs::TraceSpan span(options_.tracer, obs::Phase::kSqlQuery);
     return versioned_db_.Select(*stmt, ts);
   }();
   if (!r.ok()) {
@@ -554,7 +548,7 @@ std::string AuditContext::CheckResponseOutput(RequestId rid, const std::string& 
 }
 
 Status AuditContext::CompareOutputs() {
-  ScopedAccumulator t(&stats_.other_seconds);
+  obs::TraceSpan span(options_.tracer, obs::Phase::kPass3Compare);
   for (const TraceEvent& e : trace_->events) {
     if (e.kind != TraceEvent::Kind::kResponse) {
       continue;

@@ -66,13 +66,9 @@ struct AuditOptions {
   InterpreterOptions interp;
 };
 
+// Counts only: where the audit's time went is AuditResult::phases (the obs::PhaseTracer
+// spans), the single clock.
 struct AuditStats {
-  double proc_op_reports_seconds = 0;  // Figures 5/6 logic.
-  double db_redo_seconds = 0;          // Versioned-storage build.
-  double reexec_seconds = 0;           // SIMD-on-demand / per-request replay ("PHP").
-  double db_query_seconds = 0;         // SELECTs against versioned storage (inside reexec).
-  double other_seconds = 0;            // Init + output comparison + bookkeeping.
-
   uint64_t total_instructions = 0;
   uint64_t multivalent_instructions = 0;
   uint64_t num_groups = 0;
@@ -147,9 +143,10 @@ class AuditContext {
   // Must be called before Prepare(); null (the default) scans the resident reports.
   void set_oplog_scanner(OpLogScanner* scanner) { oplog_scanner_ = scanner; }
 
-  // Balanced-trace check, ProcessOpReports, and the versioned-storage builds. An error
-  // means the audit REJECTs with that reason. On success the versioned stores are frozen:
-  // everything the re-execution phase reads is immutable from here on.
+  // Balanced-trace check, ProcessOpReports, and the versioned-storage builds, traced as
+  // the prepare, proc_op_reports and store_build phases. An error means the audit
+  // REJECTs with that reason. On success the versioned stores are frozen: everything the
+  // re-execution phase reads is immutable from here on.
   Status Prepare();
 
   // CheckOp (Figure 12 lines 10-15): validates that the program-generated op matches the
@@ -190,7 +187,8 @@ class AuditContext {
   // concurrency discipline as SetOutput: only the worker owning rid's task may call this
   // while tasks run (the checkpoint journal captures a chunk's outputs through it).
   const std::string* ProducedOutput(RequestId rid) const;
-  // Compares produced outputs against the trace's responses (the final accept check).
+  // Compares produced outputs against the trace's responses (the final accept check),
+  // traced as the pass3_compare phase.
   Status CompareOutputs();
   // Verdict for one traced response against the produced outputs; empty = match. The
   // single source of both rejection reasons ("never re-executed" / mismatch):

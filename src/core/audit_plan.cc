@@ -5,7 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/common/timer.h"
 #include "src/common/work_steal_pool.h"
 #include "src/core/auditor.h"
 #include "src/core/reexec.h"
@@ -102,92 +101,89 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
   std::vector<std::string> task_error(tasks.size());
   std::vector<uint8_t> task_gate_failed(tasks.size(), 0);
   std::atomic<size_t> first_fail{plan.fail_order};
-  {
-    ScopedAccumulator t(&ctx->stats().reexec_seconds);
-    auto record_failure = [&](size_t task_order) {
-      size_t cur = first_fail.load(std::memory_order_relaxed);
-      while (task_order < cur &&
-             !first_fail.compare_exchange_weak(cur, task_order, std::memory_order_relaxed)) {
-      }
-    };
-    auto run_task = [&](size_t i) {
-      const AuditTask& task = tasks[i];
-      if (task.order > first_fail.load(std::memory_order_relaxed)) {
-        return;  // A strictly earlier failure already decided the verdict.
-      }
-      if (journal != nullptr) {
-        if (const AuditTaskRecord* rec = journal->Lookup(task.order); rec != nullptr) {
-          // Replay the journaled contribution: no gate (nothing is paged in), no
-          // re-execution — the recorded stats and outputs stand in for both.
-          obs::TraceSpan span(options.tracer, obs::Phase::kCheckpointReplay);
-          task_stats[i] = rec->stats;
-          task_stats[i].checkpoint_chunks_reused += 1;
-          for (const auto& [rid, body] : rec->outputs) {
-            ctx->SetOutput(rid, body);
-          }
-          return;
+  auto record_failure = [&](size_t task_order) {
+    size_t cur = first_fail.load(std::memory_order_relaxed);
+    while (task_order < cur &&
+           !first_fail.compare_exchange_weak(cur, task_order, std::memory_order_relaxed)) {
+    }
+  };
+  auto run_task = [&](size_t i) {
+    const AuditTask& task = tasks[i];
+    if (task.order > first_fail.load(std::memory_order_relaxed)) {
+      return;  // A strictly earlier failure already decided the verdict.
+    }
+    if (journal != nullptr) {
+      if (const AuditTaskRecord* rec = journal->Lookup(task.order); rec != nullptr) {
+        // Replay the journaled contribution: no gate (nothing is paged in), no
+        // re-execution — the recorded stats and outputs stand in for both.
+        obs::TraceSpan span(options.tracer, obs::Phase::kCheckpointReplay);
+        task_stats[i] = rec->stats;
+        task_stats[i].checkpoint_chunks_reused += 1;
+        for (const auto& [rid, body] : rec->outputs) {
+          ctx->SetOutput(rid, body);
         }
+        return;
       }
-      if (gate != nullptr) {
-        // Budget waits + the chunk's synchronous preads.
-        obs::TraceSpan span(options.tracer, obs::Phase::kPass2IoWait);
-        if (Status st = gate->Acquire(task); !st.ok()) {
-          task_error[i] = st.error();
-          task_gate_failed[i] = 1;
-          record_failure(task.order);
-          return;
-        }
-      }
-      AuditWorkerState ws(&task_stats[i]);
-      Status run;
-      {
-        obs::TraceSpan span(options.tracer, obs::Phase::kPass2Execute);
-        run = RunGroupChunk(app, options.interp, ctx, task.prog, task.rids, &ws);
-      }
-      if (!run.ok()) {
-        task_error[i] = run.error();
+    }
+    if (gate != nullptr) {
+      // Budget waits + the chunk's synchronous preads.
+      obs::TraceSpan span(options.tracer, obs::Phase::kPass2IoWait);
+      if (Status st = gate->Acquire(task); !st.ok()) {
+        task_error[i] = st.error();
+        task_gate_failed[i] = 1;
         record_failure(task.order);
+        return;
       }
-      if (gate != nullptr) {
-        gate->Release(task);
-      }
-      if (run.ok() && journal != nullptr) {
-        AuditTaskRecord rec;
-        rec.stats = task_stats[i];
-        rec.outputs.reserve(task.rids.size());
-        for (RequestId rid : task.rids) {
-          if (const std::string* body = ctx->ProducedOutput(rid)) {
-            rec.outputs.emplace_back(rid, *body);
-          }
+    }
+    AuditWorkerState ws(&task_stats[i]);
+    Status run;
+    {
+      obs::TraceSpan span(options.tracer, obs::Phase::kPass2Execute);
+      run = RunGroupChunk(app, options.interp, ctx, task.prog, task.rids, &ws);
+    }
+    if (!run.ok()) {
+      task_error[i] = run.error();
+      record_failure(task.order);
+    }
+    if (gate != nullptr) {
+      gate->Release(task);
+    }
+    if (run.ok() && journal != nullptr) {
+      AuditTaskRecord rec;
+      rec.stats = task_stats[i];
+      rec.outputs.reserve(task.rids.size());
+      for (RequestId rid : task.rids) {
+        if (const std::string* body = ctx->ProducedOutput(rid)) {
+          rec.outputs.emplace_back(rid, *body);
         }
-        journal->Record(task, rec);
       }
-    };
+      journal->Record(task, rec);
+    }
+  };
 
-    const size_t num_threads = threads.value();
-    std::vector<size_t> pool_tasks;
-    std::vector<size_t> serial_tasks;
-    for (size_t i = 0; i < tasks.size(); i++) {
-      if (tasks[i].serial) {
-        serial_tasks.push_back(i);
-      } else {
-        pool_tasks.push_back(i);
-      }
-    }
-    if (num_threads <= 1 || pool_tasks.size() <= 1) {
-      for (size_t i : pool_tasks) {
-        run_task(i);
-      }
+  const size_t num_threads = threads.value();
+  std::vector<size_t> pool_tasks;
+  std::vector<size_t> serial_tasks;
+  for (size_t i = 0; i < tasks.size(); i++) {
+    if (tasks[i].serial) {
+      serial_tasks.push_back(i);
     } else {
-      // Costliest chunk first minimizes makespan (cost = requests + total reported
-      // op-length; see AuditTask::cost); scheduling order never affects the verdict.
-      std::stable_sort(pool_tasks.begin(), pool_tasks.end(),
-                       [&](size_t a, size_t b) { return tasks[a].cost > tasks[b].cost; });
-      WorkStealPool(std::min(num_threads, pool_tasks.size())).Run(pool_tasks, run_task);
+      pool_tasks.push_back(i);
     }
-    for (size_t i : serial_tasks) {
+  }
+  if (num_threads <= 1 || pool_tasks.size() <= 1) {
+    for (size_t i : pool_tasks) {
       run_task(i);
     }
+  } else {
+    // Costliest chunk first minimizes makespan (cost = requests + total reported
+    // op-length; see AuditTask::cost); scheduling order never affects the verdict.
+    std::stable_sort(pool_tasks.begin(), pool_tasks.end(),
+                     [&](size_t a, size_t b) { return tasks[a].cost > tasks[b].cost; });
+    WorkStealPool(std::min(num_threads, pool_tasks.size())).Run(pool_tasks, run_task);
+  }
+  for (size_t i : serial_tasks) {
+    run_task(i);
   }
   for (const AuditStats& s : task_stats) {
     ctx->stats().MergeFrom(s);

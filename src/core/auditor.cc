@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/strings.h"
-#include "src/common/timer.h"
 #include "src/core/audit_session.h"
 #include "src/core/reexec.h"
 
@@ -81,40 +80,44 @@ AuditResult Auditor::Audit(const Trace& trace, const Reports& reports,
   return session.FeedEpoch(trace, reports);
 }
 
-AuditResult Auditor::AuditSequential(const Trace& trace, const Reports& reports,
-                                     const InitialState& initial) {
+AuditResult ConcludeAudit(AuditContext* ctx, const Status& verdict,
+                          const obs::PhaseBreakdown& phases) {
   AuditResult out;
-  AuditOptions opts = options_;
-  opts.enable_query_dedup = false;  // The baseline reissues every read (§5.2).
-  AuditContext ctx(&trace, &reports, app_, &initial, opts);
-  if (Status st = ctx.Prepare(); !st.ok()) {
-    out.reason = st.error();
-    out.stats = ctx.stats();
-    return out;
-  }
-  {
-    ScopedAccumulator t(&ctx.stats().reexec_seconds);
-    AuditWorkerState ws(&ctx.stats());
-    for (const TraceEvent& e : trace.events) {
-      if (e.kind != TraceEvent::Kind::kRequest) {
-        continue;
-      }
-      if (Status st = ReplaySingleRequest(app_, opts.interp, &ctx, e.rid, &ws); !st.ok()) {
-        out.reason = st.error();
-        out.stats = ctx.stats();
-        return out;
-      }
-    }
-  }
-  if (Status st = ctx.CompareOutputs(); !st.ok()) {
-    out.reason = st.error();
-    out.stats = ctx.stats();
+  out.phases = phases;
+  out.stats = ctx->stats();
+  if (!verdict.ok()) {
+    out.reason = verdict.error();
     return out;
   }
   out.accepted = true;
-  out.final_state = ctx.ExtractFinalState();
-  out.stats = ctx.stats();
+  out.final_state = ctx->ExtractFinalState();
   return out;
+}
+
+AuditResult Auditor::AuditSequential(const Trace& trace, const Reports& reports,
+                                     const InitialState& initial) {
+  AuditOptions opts = options_;
+  opts.enable_query_dedup = false;  // The baseline reissues every read (§5.2).
+  obs::PhaseTracer* tracer = obs::ResolveTracer(opts.tracer);
+  const obs::PhaseBreakdown phase_mark = tracer->totals();
+  AuditContext ctx(&trace, &reports, app_, &initial, opts);
+  Status verdict = ctx.Prepare();
+  if (verdict.ok()) {
+    obs::TraceSpan span(tracer, obs::Phase::kPass2Execute);
+    AuditWorkerState ws(&ctx.stats());
+    for (const TraceEvent& e : trace.events) {
+      if (e.kind == TraceEvent::Kind::kRequest) {
+        verdict = ReplaySingleRequest(app_, opts.interp, &ctx, e.rid, &ws);
+        if (!verdict.ok()) {
+          break;
+        }
+      }
+    }
+  }
+  if (verdict.ok()) {
+    verdict = ctx.CompareOutputs();
+  }
+  return ConcludeAudit(&ctx, verdict, tracer->totals().DiffSince(phase_mark));
 }
 
 }  // namespace orochi

@@ -19,9 +19,12 @@ struct AuditResult {
   bool accepted = false;
   std::string reason;  // Set on rejection.
   AuditStats stats;
-  // Wall-time decomposition of this epoch's audit into pipeline phases (the runtime twin
-  // of the paper's Figure 9). Unlike AuditStats this is NOT serialized into checkpoint
-  // journals — it is computed fresh per Feed* call from the session's PhaseTracer.
+  // Where this epoch's audit time went, per pipeline phase: the audit's only clock and
+  // the runtime twin of the paper's Figure 9. Each phase sums its spans' steady-clock
+  // time over every thread that ran it, so a phase run by N workers reports
+  // worker-seconds, not elapsed time. Never serialized into checkpoint journals — it is
+  // computed fresh per audit call from the session's PhaseTracer, so a resume counts
+  // only its own process's time.
   obs::PhaseBreakdown phases;
   // Valid only when accepted: the end-of-period object state, which seeds the next
   // audit's InitialState (§4.5). AuditSession does this chaining automatically.
@@ -66,6 +69,12 @@ AuditIoError ParseAuditIoError(const std::string& error);
 // configuration error, never a silent fallback — audit entry points surface it before
 // consuming an epoch.
 Result<size_t> ResolveAuditThreads(const AuditOptions& options);
+
+// Ends a single-context audit (AuditSequential, OOOAudit) whose checks came to
+// `verdict`: ACCEPT with the context's final state when ok, else REJECT with its reason.
+// Stats and `phases` are filled either way.
+AuditResult ConcludeAudit(AuditContext* ctx, const Status& verdict,
+                          const obs::PhaseBreakdown& phases);
 
 class Auditor {
  public:

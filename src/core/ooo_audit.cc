@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "src/common/rng.h"
-#include "src/common/timer.h"
 
 namespace orochi {
 
@@ -79,12 +78,14 @@ OpSchedule RandomWellFormedSchedule(const Trace& trace,
 AuditResult OOOAudit(const Application* app, const Trace& trace, const Reports& reports,
                      const InitialState& initial, const OpSchedule& schedule,
                      AuditOptions options) {
-  AuditResult out;
+  obs::PhaseTracer* tracer = obs::ResolveTracer(options.tracer);
+  const obs::PhaseBreakdown phase_mark = tracer->totals();
   AuditContext ctx(&trace, &reports, app, &initial, options);
+  auto conclude = [&](const Status& verdict) {
+    return ConcludeAudit(&ctx, verdict, tracer->totals().DiffSince(phase_mark));
+  };
   if (Status st = ctx.Prepare(); !st.ok()) {
-    out.reason = st.error();
-    out.stats = ctx.stats();
-    return out;
+    return conclude(st);
   }
 
   struct Thread {
@@ -97,13 +98,6 @@ AuditResult OOOAudit(const Application* app, const Trace& trace, const Reports& 
     bool missing_script = false;
   };
   std::unordered_map<RequestId, Thread> threads;
-
-  auto reject = [&](const std::string& reason) {
-    AuditResult r;
-    r.reason = reason;
-    r.stats = ctx.stats();
-    return r;
-  };
 
   // Runs a thread until its next state op (held, not yet simulated), output, or trap.
   // Nondet calls are serviced inline.
@@ -135,21 +129,21 @@ AuditResult OOOAudit(const Application* app, const Trace& trace, const Reports& 
     }
   };
 
-  {
-    ScopedAccumulator timer(&ctx.stats().reexec_seconds);
+  // Replays the schedule; a non-ok Status is the rejection reason.
+  auto replay = [&]() -> Status {
     for (const OpScheduleEntry& entry : schedule) {
       if (entry.opnum == 0) {
         // Read inputs, allocate program structures (Figure 13 lines 6-8).
         const TraceEvent* req = ctx.RequestEvent(entry.rid);
         if (req == nullptr) {
-          return reject("ooo: schedule names rid " + std::to_string(entry.rid) +
-                        " not in the trace");
+          return Status::Error("ooo: schedule names rid " + std::to_string(entry.rid) +
+                               " not in the trace");
         }
         Thread t;
         const Program* prog = app->GetScript(req->script);
         if (prog == nullptr) {
           if (ctx.OpCount(entry.rid) != 0) {
-            return reject("ooo: unknown script but M(rid) > 0");
+            return Status::Error("ooo: unknown script but M(rid) > 0");
           }
           t.missing_script = true;
           t.finished = true;
@@ -164,8 +158,8 @@ AuditResult OOOAudit(const Application* app, const Trace& trace, const Reports& 
 
       auto it = threads.find(entry.rid);
       if (it == threads.end()) {
-        return reject("ooo: schedule uses rid " + std::to_string(entry.rid) +
-                      " before its init step");
+        return Status::Error("ooo: schedule uses rid " + std::to_string(entry.rid) +
+                             " before its init step");
       }
       Thread& t = it->second;
 
@@ -174,23 +168,23 @@ AuditResult OOOAudit(const Application* app, const Trace& trace, const Reports& 
         // than scheduled (Figure 13 lines 10-14).
         if (!t.finished) {
           if (t.pending_op) {
-            return reject("ooo: output step reached with an unsimulated op");
+            return Status::Error("ooo: output step reached with an unsimulated op");
           }
           if (Status st = run_until_event(entry.rid, &t); !st.ok()) {
-            return reject(st.error());
+            return st;
           }
           if (!t.finished) {
-            return reject("ooo: request issued a state op where output was expected");
+            return Status::Error("ooo: request issued a state op where output was expected");
           }
         }
         if (!t.missing_script) {
           if (t.ops_done != ctx.OpCount(entry.rid)) {
-            return reject("ooo: rid " + std::to_string(entry.rid) + " issued " +
-                          std::to_string(t.ops_done) + " ops but M(rid) = " +
-                          std::to_string(ctx.OpCount(entry.rid)));
+            return Status::Error("ooo: rid " + std::to_string(entry.rid) + " issued " +
+                                 std::to_string(t.ops_done) + " ops but M(rid) = " +
+                                 std::to_string(ctx.OpCount(entry.rid)));
           }
           if (Status st = ctx.CheckNondetConsumed(entry.rid); !st.ok()) {
-            return reject(st.error());
+            return st;
           }
           ctx.stats().total_instructions += t.interp->instructions_executed();
         }
@@ -200,43 +194,41 @@ AuditResult OOOAudit(const Application* app, const Trace& trace, const Reports& 
 
       // Ordinary op step: run to the next state op and simulate it (Figure 13 lines 16-23).
       if (t.finished) {
-        return reject("ooo: request finished before scheduled op " +
-                      std::to_string(entry.opnum));
+        return Status::Error("ooo: request finished before scheduled op " +
+                             std::to_string(entry.opnum));
       }
       if (!t.pending_op) {
         if (Status st = run_until_event(entry.rid, &t); !st.ok()) {
-          return reject(st.error());
+          return st;
         }
       }
       if (t.finished || !t.pending_op) {
-        return reject("ooo: request produced output where a state op was expected");
+        return Status::Error("ooo: request produced output where a state op was expected");
       }
       t.ops_done++;
       if (t.ops_done != entry.opnum) {
-        return reject("ooo: schedule op numbering does not match execution");
+        return Status::Error("ooo: schedule op numbering does not match execution");
       }
       Result<OpLocation> loc = ctx.CheckOp(entry.rid, t.ops_done, t.held_op);
       if (!loc.ok()) {
-        return reject(loc.error());
+        return Status::Error(loc.error());
       }
       Result<Value> v = ctx.SimOp(t.held_op, loc.value());
       if (!v.ok()) {
-        return reject(v.error());
+        return Status::Error(v.error());
       }
       t.pending_op = false;
       t.interp->ProvideValue(std::move(v).value());
     }
-  }
+    return Status::Ok();
+  };
 
-  if (Status st = ctx.CompareOutputs(); !st.ok()) {
-    out.reason = st.error();
-    out.stats = ctx.stats();
-    return out;
+  Status verdict;
+  {
+    obs::TraceSpan span(tracer, obs::Phase::kPass2Execute);
+    verdict = replay();
   }
-  out.accepted = true;
-  out.final_state = ctx.ExtractFinalState();
-  out.stats = ctx.stats();
-  return out;
+  return conclude(verdict.ok() ? ctx.CompareOutputs() : verdict);
 }
 
 }  // namespace orochi

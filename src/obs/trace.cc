@@ -12,8 +12,8 @@ namespace {
 
 // Chrome-trace (and the metric-name suffixes) want stable lowercase identifiers.
 constexpr const char* kPhaseNames[kNumPhases] = {
-    "shard_merge",    "pass1_skeleton",    "prepare",       "pass2_io_wait",
-    "pass2_execute",  "checkpoint_replay", "pass3_compare",
+    "shard_merge",   "pass1_skeleton", "prepare",   "proc_op_reports",   "store_build",
+    "pass2_io_wait", "pass2_execute",  "sql_query", "checkpoint_replay", "pass3_compare",
 };
 
 // Stable small integer per thread for chrome-trace "tid" fields.
@@ -27,10 +27,14 @@ uint32_t ChromeTid() {
 
 const char* PhaseName(Phase phase) { return kPhaseNames[static_cast<int>(phase)]; }
 
+bool PhaseIsNested(Phase phase) { return phase == Phase::kSqlQuery; }
+
 double PhaseBreakdown::total_seconds() const {
   double total = 0;
-  for (double s : seconds) {
-    total += s;
+  for (int p = 0; p < kNumPhases; p++) {
+    if (!PhaseIsNested(static_cast<Phase>(p))) {
+      total += seconds[p];
+    }
   }
   return total;
 }

@@ -1,8 +1,8 @@
 // Audit-phase tracing: scoped TraceSpans emitted by the audit pipeline aggregate into a
-// per-epoch phase-decomposition record — the runtime twin of the paper's Figure 9 (audit
-// cost split into report processing / storage build / re-execution / comparison), extended
-// with the phases the grown system added (pass-1 skeleton streaming, shard merge,
-// checkpoint replay).
+// per-epoch phase-decomposition record — the audit's only clock, and the runtime twin of
+// the paper's Figure 9 (audit cost split into report processing / storage build /
+// re-execution / DB query / comparison), extended with the phases the grown system added
+// (pass-1 skeleton streaming, shard merge, chunk-gate I/O wait, checkpoint replay).
 //
 //   {
 //     obs::TraceSpan span(tracer, obs::Phase::kPrepare);
@@ -31,26 +31,35 @@
 namespace orochi {
 namespace obs {
 
-// The audit pipeline's phases, in pipeline order. Keep PhaseName in sync.
+// The audit pipeline's phases, in pipeline order. Keep PhaseName in sync. Spans of one
+// phase sum across threads, so a phase run by N workers reports worker-seconds.
 enum class Phase : int {
-  kShardMerge = 0,       // Merge-join of shard spill pairs (FeedShardedEpoch).
+  kShardMerge = 0,       // Shard-id resolution + the merge-join fold (FeedShardedEpoch).
   kPass1Skeleton,        // Streaming trace/reports files into skeletons + offset indexes.
-  kPrepare,              // Report processing + versioned-store builds (Figure 9's first two).
+  kPrepare,              // Audit init: balanced-trace check + per-rid slot setup.
+  kProcOpReports,        // ProcessOpReports: the consistent-ordering check (Figures 5/6).
+  kStoreBuild,           // Versioned-store builds from the op logs ("DB redo").
   kPass2IoWait,          // Worker time blocked in the chunk gate paging bytes in (budget
                          // waits + the chunk's synchronous preads).
   kPass2Execute,         // One span per re-executed group chunk (grouped re-execution).
+  kSqlQuery,             // One span per SELECT run against versioned storage; nested in
+                         // kPass2Execute.
   kCheckpointReplay,     // Journaled chunks replayed instead of re-executed on resume.
   kPass3Compare,         // Produced-output vs. trace comparison.
 };
-inline constexpr int kNumPhases = 7;
+inline constexpr int kNumPhases = 10;
 const char* PhaseName(Phase phase);
+// True for a phase whose spans lie inside another phase's spans (kSqlQuery).
+bool PhaseIsNested(Phase phase);
 
-// Per-phase wall seconds + span counts. For one epoch this is the phase-decomposition
-// record; the tracer's totals() is the same shape accumulated over the process lifetime.
+// Per-phase seconds + span counts. For one epoch this is the phase-decomposition record;
+// the tracer's totals() is the same shape accumulated over the process lifetime.
 struct PhaseBreakdown {
   double seconds[kNumPhases] = {};
   uint64_t spans[kNumPhases] = {};
 
+  double operator[](Phase phase) const { return seconds[static_cast<int>(phase)]; }
+  // Every recorded second counted once: nested phases are already inside their parent.
   double total_seconds() const;
   // The per-epoch record: this snapshot minus an `earlier` snapshot of the same tracer.
   PhaseBreakdown DiffSince(const PhaseBreakdown& earlier) const;

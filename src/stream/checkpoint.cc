@@ -23,21 +23,18 @@ using wire_primitives::PutStr;
 using wire_primitives::PutU32;
 using wire_primitives::PutU64;
 
-// Checkpoint-section record types.
+// Checkpoint-section record types. Type 2 was the chunk record of the layout that also
+// carried five wall-time fields; it is retired, so a journal in that layout stops
+// parsing at its first chunk record (unknown type) and reuses no chunk.
 constexpr uint8_t kMetaRecord = 1;     // u64 fingerprint.
-constexpr uint8_t kChunkRecord = 2;    // One completed task (order + stats + outputs).
 constexpr uint8_t kPrepareRecord = 3;  // u64 object: Prepare finished scanning its log.
 constexpr uint8_t kCompareRecord = 4;  // u64 watermark: responses fully compared (pass 3).
+constexpr uint8_t kChunkRecord = 5;    // One completed task (order + stat counts + outputs).
 
 void EncodeChunkRecord(size_t order, const AuditTaskRecord& rec, std::string* out) {
   out->clear();
   PutU64(out, order);
   const AuditStats& s = rec.stats;
-  PutF64(out, s.proc_op_reports_seconds);
-  PutF64(out, s.db_redo_seconds);
-  PutF64(out, s.reexec_seconds);
-  PutF64(out, s.db_query_seconds);
-  PutF64(out, s.other_seconds);
   PutU64(out, s.total_instructions);
   PutU64(out, s.multivalent_instructions);
   PutU64(out, s.num_groups);
@@ -69,13 +66,11 @@ bool DecodeChunkRecord(const std::string& payload, size_t* order, AuditTaskRecor
   }
   *order = static_cast<size_t>(order64);
   AuditStats& s = rec->stats;
-  if (!cur.TakeF64(&s.proc_op_reports_seconds) || !cur.TakeF64(&s.db_redo_seconds) ||
-      !cur.TakeF64(&s.reexec_seconds) || !cur.TakeF64(&s.db_query_seconds) ||
-      !cur.TakeF64(&s.other_seconds) || !cur.TakeU64(&s.total_instructions) ||
-      !cur.TakeU64(&s.multivalent_instructions) || !cur.TakeU64(&s.num_groups) ||
-      !cur.TakeU64(&s.groups_multi) || !cur.TakeU64(&s.fallback_groups) ||
-      !cur.TakeU64(&s.ops_checked) || !cur.TakeU64(&s.db_selects_issued) ||
-      !cur.TakeU64(&s.db_selects_deduped) || !cur.TakeU64(&s.checkpoint_chunks_reused)) {
+  if (!cur.TakeU64(&s.total_instructions) || !cur.TakeU64(&s.multivalent_instructions) ||
+      !cur.TakeU64(&s.num_groups) || !cur.TakeU64(&s.groups_multi) ||
+      !cur.TakeU64(&s.fallback_groups) || !cur.TakeU64(&s.ops_checked) ||
+      !cur.TakeU64(&s.db_selects_issued) || !cur.TakeU64(&s.db_selects_deduped) ||
+      !cur.TakeU64(&s.checkpoint_chunks_reused)) {
     return false;
   }
   uint64_t num_groups;

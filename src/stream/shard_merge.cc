@@ -43,7 +43,7 @@ std::string Resolve(const std::string& dir, const std::string& file) {
 
 Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
                                  const std::vector<uint32_t>& expected_ids, Env* env,
-                                 size_t num_threads) {
+                                 size_t num_threads, obs::PhaseTracer* tracer) {
   using R = Result<MergedShards>;
   if (shards.empty()) {
     return R::Error("shard merge: no shards given");
@@ -60,28 +60,31 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
     uint32_t id;
   };
   std::vector<Entry> order(shards.size());
-  for (size_t i = 0; i < shards.size(); i++) {
-    Result<uint32_t> stamped = PeekTraceShardId(shards[i].trace_path, env);
-    if (!stamped.ok()) {
-      return R::Error("shard merge: " + stamped.error());
-    }
-    uint32_t id = stamped.value();
-    if (!expected_ids.empty()) {
-      if (id != 0 && expected_ids[i] != id) {
-        return R::Error("shard merge: " + shards[i].trace_path + " is stamped shard " +
-                        std::to_string(id) + " but the manifest claims shard " +
-                        std::to_string(expected_ids[i]));
+  {
+    obs::TraceSpan span(tracer, obs::Phase::kShardMerge);
+    for (size_t i = 0; i < shards.size(); i++) {
+      Result<uint32_t> stamped = PeekTraceShardId(shards[i].trace_path, env);
+      if (!stamped.ok()) {
+        return R::Error("shard merge: " + stamped.error());
       }
-      id = expected_ids[i];
+      uint32_t id = stamped.value();
+      if (!expected_ids.empty()) {
+        if (id != 0 && expected_ids[i] != id) {
+          return R::Error("shard merge: " + shards[i].trace_path + " is stamped shard " +
+                          std::to_string(id) + " but the manifest claims shard " +
+                          std::to_string(expected_ids[i]));
+        }
+        id = expected_ids[i];
+      }
+      order[i] = {i, id};
     }
-    order[i] = {i, id};
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const Entry& a, const Entry& b) { return a.id < b.id; });
-  for (size_t i = 1; i < order.size(); i++) {
-    if (order[i].id != 0 && order[i].id == order[i - 1].id) {
-      return R::Error("shard merge: shard id " + std::to_string(order[i].id) +
-                      " appears twice");
+    std::stable_sort(order.begin(), order.end(),
+                     [](const Entry& a, const Entry& b) { return a.id < b.id; });
+    for (size_t i = 1; i < order.size(); i++) {
+      if (order[i].id != 0 && order[i].id == order[i - 1].id) {
+        return R::Error("shard merge: shard id " + std::to_string(order[i].id) +
+                        " appears twice");
+      }
     }
   }
 
@@ -104,7 +107,7 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
     pool.Run(tasks, [&](size_t i) {
       // One pass-1 span per shard build: these overlap on the pool, so the phase's span
       // count is the shard count and its seconds are cumulative worker time.
-      obs::TraceSpan span(nullptr, obs::Phase::kPass1Skeleton);
+      obs::TraceSpan span(tracer, obs::Phase::kPass1Skeleton);
       const ShardEpochFiles& shard = shards[order[i].pos];
       ShardLoad& load = loads[i];
       Result<uint32_t> appended = load.traces.AppendFile(shard.trace_path, env);
@@ -118,6 +121,7 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
     });
   }
 
+  obs::TraceSpan fold_span(tracer, obs::Phase::kShardMerge);
   MergedShards out;
   std::unordered_set<RequestId> prior_rids;
   for (size_t i = 0; i < order.size(); i++) {
@@ -159,20 +163,23 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
 }
 
 Result<MergedShards> MergeShardsFromManifest(const std::string& manifest_path, Env* env,
-                                             size_t num_threads) {
-  Result<ShardManifest> manifest = ReadShardManifestFile(manifest_path, env);
-  if (!manifest.ok()) {
-    return Result<MergedShards>::Error(manifest.error());
-  }
-  const std::string dir = DirOf(manifest_path);
+                                             size_t num_threads, obs::PhaseTracer* tracer) {
   std::vector<ShardEpochFiles> shards;
   std::vector<uint32_t> ids;
-  shards.reserve(manifest.value().shards.size());
-  for (const ShardManifestEntry& entry : manifest.value().shards) {
-    shards.push_back({Resolve(dir, entry.trace_file), Resolve(dir, entry.reports_file)});
-    ids.push_back(entry.shard_id);
+  {
+    obs::TraceSpan span(tracer, obs::Phase::kShardMerge);
+    Result<ShardManifest> manifest = ReadShardManifestFile(manifest_path, env);
+    if (!manifest.ok()) {
+      return Result<MergedShards>::Error(manifest.error());
+    }
+    const std::string dir = DirOf(manifest_path);
+    shards.reserve(manifest.value().shards.size());
+    for (const ShardManifestEntry& entry : manifest.value().shards) {
+      shards.push_back({Resolve(dir, entry.trace_file), Resolve(dir, entry.reports_file)});
+      ids.push_back(entry.shard_id);
+    }
   }
-  return MergeShards(shards, ids, env, num_threads);
+  return MergeShards(shards, ids, env, num_threads, tracer);
 }
 
 }  // namespace orochi

@@ -43,15 +43,20 @@ struct MergedShards {
 // the merged epoch is bit-identical at every thread count. A shard whose files fail to
 // stream is quarantined: the merge errors out naming the shard id and both file paths,
 // so the operator knows exactly which collector's spill to restore. Reads go through
-// `env` (nullptr = the production posix environment).
+// `env` (nullptr = the production posix environment). Spans go to `tracer` (nullptr =
+// obs::PhaseTracer::Default()): one pass1_skeleton span per shard build, and
+// shard_merge spans for the id resolution and the fold only, so no second is counted
+// twice.
 Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
                                  const std::vector<uint32_t>& expected_ids = {},
-                                 Env* env = nullptr, size_t num_threads = 0);
+                                 Env* env = nullptr, size_t num_threads = 0,
+                                 obs::PhaseTracer* tracer = nullptr);
 
 // Reads a wire-format shard manifest and merges the pairs it names, resolving relative
 // spill paths against the manifest file's directory.
 Result<MergedShards> MergeShardsFromManifest(const std::string& manifest_path,
-                                             Env* env = nullptr, size_t num_threads = 0);
+                                             Env* env = nullptr, size_t num_threads = 0,
+                                             obs::PhaseTracer* tracer = nullptr);
 
 }  // namespace orochi
 

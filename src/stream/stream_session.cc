@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/timer.h"
 #include "src/core/audit_plan.h"
 #include "src/core/audit_session.h"
 #include "src/objects/wire_format.h"
@@ -384,12 +383,7 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   ctx.set_oplog_scanner(journal != nullptr
                             ? static_cast<OpLogScanner*>(&journaling_scanner)
                             : static_cast<OpLogScanner*>(&scanner));
-  Status prepared;
-  {
-    obs::TraceSpan span(tracer, obs::Phase::kPrepare);
-    prepared = ctx.Prepare();
-  }
-  if (Status st = prepared; !st.ok()) {
+  if (Status st = ctx.Prepare(); !st.ok()) {
     if (scanner.io_failed()) {
       // Paging a log segment in failed (spill file vanished or changed mid-audit): a
       // file-level error, not a verdict — the epoch is unconsumed. The journal keeps the
@@ -418,7 +412,6 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
 
   std::string compare_reason;
   {
-    ScopedAccumulator t(&ctx.stats().other_seconds);
     obs::TraceSpan span(tracer, obs::Phase::kPass3Compare);
     uint64_t resumed = 0;
     Status st = StreamedCompareOutputs(ctx, &merged.traces, loader, budget, journal.get(),
@@ -477,16 +470,15 @@ Result<AuditResult> AuditSession::FeedShardedEpoch(const std::vector<ShardEpochF
   }
   obs::PhaseTracer* tracer = obs::ResolveTracer(options_.tracer);
   const obs::PhaseBreakdown phase_mark = tracer->totals();
-  Result<MergedShards> merged = [&] {
-    obs::TraceSpan span(tracer, obs::Phase::kShardMerge);
-    return MergeShards(shards, {}, options_.io_env, threads.value());
-  }();
+  Result<MergedShards> merged =
+      MergeShards(shards, {}, options_.io_env, threads.value(), tracer);
   if (!merged.ok()) {
     return Result<AuditResult>::Error(merged.error());
   }
   Result<AuditResult> result = FeedMergedEpochStreamed(std::move(merged).value(), hooks);
   if (result.ok()) {
-    // Re-attribute from the outer mark so shard-merge time is part of this epoch.
+    // Re-attribute from the outer mark so shard-merge and pass-1 time are part of this
+    // epoch.
     result.value().phases = tracer->totals().DiffSince(phase_mark);
   }
   return result;
@@ -500,16 +492,15 @@ Result<AuditResult> AuditSession::FeedShardedEpoch(const std::string& manifest_p
   }
   obs::PhaseTracer* tracer = obs::ResolveTracer(options_.tracer);
   const obs::PhaseBreakdown phase_mark = tracer->totals();
-  Result<MergedShards> merged = [&] {
-    obs::TraceSpan span(tracer, obs::Phase::kShardMerge);
-    return MergeShardsFromManifest(manifest_path, options_.io_env, threads.value());
-  }();
+  Result<MergedShards> merged =
+      MergeShardsFromManifest(manifest_path, options_.io_env, threads.value(), tracer);
   if (!merged.ok()) {
     return Result<AuditResult>::Error(merged.error());
   }
   Result<AuditResult> result = FeedMergedEpochStreamed(std::move(merged).value(), hooks);
   if (result.ok()) {
-    // Re-attribute from the outer mark so shard-merge time is part of this epoch.
+    // Re-attribute from the outer mark so shard-merge and pass-1 time are part of this
+    // epoch.
     result.value().phases = tracer->totals().DiffSince(phase_mark);
   }
   return result;

@@ -126,7 +126,7 @@ ServiceOptions TestServiceOptions(const std::string& spool_dir, uint32_t shards)
 }
 
 std::string MakeSpoolDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/orochi_svc_" + name;
+  std::string dir = TestTempDir() + "/orochi_svc_" + name;
   EXPECT_EQ(std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()), 0);
   return dir;
 }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/auditor.h"
 #include "src/objects/wire_format.h"
 #include "src/server/tamper.h"
 #include "tests/test_util.h"
@@ -172,7 +173,7 @@ TEST(AuditSession, FileRoundTripMatchesInMemoryChain) {
   }
 
   // Spill everything, then audit the files in a session opened from the state file.
-  std::string dir = ::testing::TempDir();
+  std::string dir = TestTempDir();
   std::string state_path = dir + "/session_state0.bin";
   ASSERT_TRUE(WriteInitialStateFile(state_path, run.initial).ok());
   Result<AuditSession> opened =
@@ -205,8 +206,8 @@ TEST(AuditSession, FeedEpochFilesReportsFileErrorsDistinctFromRejection) {
   EpochRun run = ServeInEpochs(w);
   AuditSession session = AuditSession::Open(&w.app, SessionOptions(1), run.initial);
   Result<AuditResult> r =
-      session.FeedEpochFiles(::testing::TempDir() + "/no_such_trace.bin",
-                             ::testing::TempDir() + "/no_such_reports.bin");
+      session.FeedEpochFiles(TestTempDir() + "/no_such_trace.bin",
+                             TestTempDir() + "/no_such_reports.bin");
   EXPECT_FALSE(r.ok());
   // A file error consumes no epoch.
   EXPECT_EQ(session.epochs_fed(), 0u);
@@ -223,6 +224,47 @@ TEST(AuditSession, AuditorAuditIsAOneEpochSession) {
   ASSERT_TRUE(via_session.accepted) << via_session.reason;
   EXPECT_EQ(InitialStateFingerprint(via_auditor.final_state),
             InitialStateFingerprint(via_session.final_state));
+}
+
+// AuditResult::phases is the audit's only clock. Each Figure 9 category has its own
+// phase, every issued SELECT records one sql_query span, and the SELECT time nested
+// inside pass2_execute is not counted twice in the total.
+TEST(AuditSession, PhasesRecordEveryFigure9Category) {
+  ForumConfig config;
+  config.num_topics = 4;
+  config.num_users = 10;
+  config.num_requests = 300;
+  Workload w = MakeForumWorkload(config);
+  ServedWorkload served = ServeWorkload(w);
+  obs::PhaseTracer tracer;
+  AuditOptions options = SessionOptions(2);
+  options.tracer = &tracer;
+  Auditor auditor(&w.app, options);
+  AuditResult grouped = auditor.Audit(served.trace, served.reports, served.initial);
+  AuditResult baseline = auditor.AuditSequential(served.trace, served.reports, served.initial);
+  for (const AuditResult* r : {&grouped, &baseline}) {
+    ASSERT_TRUE(r->accepted) << r->reason;
+    const obs::PhaseBreakdown& p = r->phases;
+    auto spans = [&](obs::Phase phase) { return p.spans[static_cast<int>(phase)]; };
+    EXPECT_EQ(spans(obs::Phase::kPrepare), 1u);
+    EXPECT_EQ(spans(obs::Phase::kProcOpReports), 1u);
+    EXPECT_EQ(spans(obs::Phase::kStoreBuild), 1u);
+    EXPECT_EQ(spans(obs::Phase::kPass3Compare), 1u);
+    EXPECT_GE(spans(obs::Phase::kPass2Execute), 1u);
+    EXPECT_GT(r->stats.db_selects_issued, 0u);
+    EXPECT_EQ(spans(obs::Phase::kSqlQuery), r->stats.db_selects_issued);
+    EXPECT_LE(p[obs::Phase::kSqlQuery], p[obs::Phase::kPass2Execute]);
+    double all = 0;
+    for (double seconds : p.seconds) {
+      all += seconds;
+    }
+    EXPECT_NEAR(p.total_seconds(), all - p[obs::Phase::kSqlQuery], 1e-9);
+  }
+  // The baseline replays the whole trace in one span; the grouped audit spans per chunk.
+  EXPECT_EQ(baseline.phases.spans[static_cast<int>(obs::Phase::kPass2Execute)], 1u);
+  // Both audits recorded into the private tracer and nowhere else.
+  EXPECT_EQ(tracer.totals().spans[static_cast<int>(obs::Phase::kSqlQuery)],
+            grouped.stats.db_selects_issued + baseline.stats.db_selects_issued);
 }
 
 }  // namespace

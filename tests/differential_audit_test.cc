@@ -224,9 +224,9 @@ TEST(DifferentialAudit, GeneratedWorkloadsAgreeAcrossEnginesThreadsAndBudgets) {
           "seed " + std::to_string(seed) + " case " + std::to_string(case_id) + " (" +
           variant.label + ")";
       const std::string trace_path =
-          ::testing::TempDir() + "/diff_" + std::to_string(case_id) + "_trace.bin";
+          TestTempDir() + "/diff_" + std::to_string(case_id) + "_trace.bin";
       const std::string reports_path =
-          ::testing::TempDir() + "/diff_" + std::to_string(case_id) + "_reports.bin";
+          TestTempDir() + "/diff_" + std::to_string(case_id) + "_reports.bin";
       ASSERT_TRUE(WriteTraceFile(trace_path, variant.trace).ok());
       ASSERT_TRUE(WriteReportsFile(reports_path, variant.reports).ok());
 
@@ -299,9 +299,9 @@ TEST(DifferentialAudit, RandomShardedEpochsMatchTheMergedInMemoryAudit) {
     }
     ShardSpill spill;
     spill.trace_path =
-        ::testing::TempDir() + "/diff_shard" + std::to_string(shard) + "_trace.bin";
+        TestTempDir() + "/diff_shard" + std::to_string(shard) + "_trace.bin";
     spill.reports_path =
-        ::testing::TempDir() + "/diff_shard" + std::to_string(shard) + "_reports.bin";
+        TestTempDir() + "/diff_shard" + std::to_string(shard) + "_reports.bin";
     ASSERT_TRUE(collector.Flush(spill.trace_path).ok());
     ASSERT_TRUE(core.ExportReports(spill.reports_path).ok());
     spills.push_back(std::move(spill));
@@ -315,7 +315,7 @@ TEST(DifferentialAudit, RandomShardedEpochsMatchTheMergedInMemoryAudit) {
     std::vector<RequestId> rids = TracedRids(t.value());
     ASSERT_FALSE(rids.empty());
     ASSERT_TRUE(TamperResponseBody(&t.value(), rids[rids.size() / 2], "<forged>"));
-    tampered[1].trace_path = ::testing::TempDir() + "/diff_shard2_tampered_trace.bin";
+    tampered[1].trace_path = TestTempDir() + "/diff_shard2_tampered_trace.bin";
     ASSERT_TRUE(WriteTraceFile(tampered[1].trace_path, t.value(), /*shard_id=*/2).ok());
   }
 

@@ -56,8 +56,8 @@ TEST(FaultInjection, SweepNeverFalselyAcceptsOrMisreportsFaults) {
   Workload w = CounterWorkload(48);
   ServedWorkload served = ServeWorkload(w);
   const std::string truth = InitialStateFingerprint(served.final_state);
-  const std::string trace_path = ::testing::TempDir() + "/fi_sweep_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/fi_sweep_reports.bin";
+  const std::string trace_path = TestTempDir() + "/fi_sweep_trace.bin";
+  const std::string reports_path = TestTempDir() + "/fi_sweep_reports.bin";
 
   constexpr int kSchedules = 200;
   int accepted = 0;
@@ -134,7 +134,7 @@ TEST(FaultInjection, SweepNeverFalselyAcceptsOrMisreportsFaults) {
 TEST(FaultInjection, TraceSpillKillPointSweepNeverExposesPartialFile) {
   ServedWorkload a = ServeWorkload(CounterWorkload(10));
   ServedWorkload b = ServeWorkload(CounterWorkload(20));
-  const std::string path = ::testing::TempDir() + "/fi_kill_trace.bin";
+  const std::string path = TestTempDir() + "/fi_kill_trace.bin";
 
   // Learn the write-op count N of spilling version B, then crash after 0..N-1 ops.
   FaultInjectingEnv counting(nullptr, FaultOptions{});
@@ -169,7 +169,7 @@ TEST(FaultInjection, StateFileKillPointSweepNeverExposesPartialFile) {
   const std::string fp_a = InitialStateFingerprint(a.final_state);
   const std::string fp_b = InitialStateFingerprint(b.final_state);
   ASSERT_NE(fp_a, fp_b);
-  const std::string path = ::testing::TempDir() + "/fi_kill_state.bin";
+  const std::string path = TestTempDir() + "/fi_kill_state.bin";
 
   FaultInjectingEnv counting(nullptr, FaultOptions{});
   ASSERT_TRUE(WriteInitialStateFile(path, b.final_state, &counting).ok());
@@ -191,37 +191,11 @@ TEST(FaultInjection, StateFileKillPointSweepNeverExposesPartialFile) {
 
 // --- 3. Checkpointed resume: bit-identical to an uninterrupted audit ---
 
-// Trace loader that simulates a process killed mid-pass-2: the first `allowed` payload
-// loads succeed, then every load fails permanently. Tasks already paged in retire (and
-// journal); the failing task surfaces a gate failure, i.e. an I/O error, never a verdict.
-class KillSwitchLoader : public TraceChunkLoader {
- public:
-  KillSwitchLoader(const StreamTraceSet* set, uint64_t allowed)
-      : real_(set), allowed_(allowed) {}
-
-  Status Load(const StreamTraceSet& set, size_t index, TraceEvent* event) override {
-    if (loads_.fetch_add(1) >= allowed_) {
-      return Status::Error("io: injected mid-audit kill at payload load " +
-                           std::to_string(allowed_) + " in " +
-                           set.file_path(set.loc(index).file));
-    }
-    return real_.Load(set, index, event);
-  }
-  void Evict(const StreamTraceSet& set, size_t index, TraceEvent* event) override {
-    real_.Evict(set, index, event);
-  }
-
- private:
-  FileTraceChunkLoader real_;
-  std::atomic<uint64_t> loads_{0};
-  const uint64_t allowed_;
-};
-
 TEST(FaultInjection, ResumeAfterMidAuditKillIsBitIdentical) {
   Workload w = CounterWorkload(160);
   ServedWorkload served = ServeWorkload(w);
-  const std::string trace_path = ::testing::TempDir() + "/fi_resume_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/fi_resume_reports.bin";
+  const std::string trace_path = TestTempDir() + "/fi_resume_trace.bin";
+  const std::string reports_path = TestTempDir() + "/fi_resume_reports.bin";
   ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
   ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
 
@@ -244,7 +218,7 @@ TEST(FaultInjection, ResumeAfterMidAuditKillIsBitIdentical) {
         SCOPED_TRACE("allowed=" + std::to_string(allowed) + " threads=" +
                      std::to_string(threads) + " budget=" + std::to_string(budget));
         const std::string checkpoint =
-            ::testing::TempDir() + "/fi_resume_" + std::to_string(allowed) + "_" +
+            TestTempDir() + "/fi_resume_" + std::to_string(allowed) + "_" +
             std::to_string(threads) + "_" + std::to_string(budget) + ".ckpt";
         AuditOptions opts;
         opts.num_threads = threads;
@@ -313,8 +287,8 @@ class KillSwitchReportsLoader : public ReportsChunkLoader {
 TEST(FaultInjection, ResumeAfterMidPrepareKillIsBitIdentical) {
   Workload w = CounterWorkload(160);
   ServedWorkload served = ServeWorkload(w);
-  const std::string trace_path = ::testing::TempDir() + "/fi_prep_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/fi_prep_reports.bin";
+  const std::string trace_path = TestTempDir() + "/fi_prep_trace.bin";
+  const std::string reports_path = TestTempDir() + "/fi_prep_reports.bin";
   ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
   ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
 
@@ -330,7 +304,7 @@ TEST(FaultInjection, ResumeAfterMidPrepareKillIsBitIdentical) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const std::string checkpoint =
-        ::testing::TempDir() + "/fi_prep_" + std::to_string(threads) + ".ckpt";
+        TestTempDir() + "/fi_prep_" + std::to_string(threads) + ".ckpt";
     AuditOptions opts;
     opts.num_threads = threads;
     opts.max_group_size = 8;
@@ -370,8 +344,8 @@ TEST(FaultInjection, ResumeAfterMidPrepareKillIsBitIdentical) {
 TEST(FaultInjection, ResumeAfterMidCompareKillIsBitIdentical) {
   Workload w = CounterWorkload(160);
   ServedWorkload served = ServeWorkload(w);
-  const std::string trace_path = ::testing::TempDir() + "/fi_cmp_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/fi_cmp_reports.bin";
+  const std::string trace_path = TestTempDir() + "/fi_cmp_trace.bin";
+  const std::string reports_path = TestTempDir() + "/fi_cmp_reports.bin";
   ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
   ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
 
@@ -387,7 +361,7 @@ TEST(FaultInjection, ResumeAfterMidCompareKillIsBitIdentical) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const std::string checkpoint =
-        ::testing::TempDir() + "/fi_cmp_" + std::to_string(threads) + ".ckpt";
+        TestTempDir() + "/fi_cmp_" + std::to_string(threads) + ".ckpt";
     AuditOptions opts;
     opts.num_threads = threads;
     opts.max_group_size = 8;
@@ -440,8 +414,8 @@ TEST(FaultInjection, SeededEioDuringPass2KeepsTheOutcomeTaxonomy) {
   Workload w = CounterWorkload(64);
   ServedWorkload served = ServeWorkload(w);
   const std::string truth = InitialStateFingerprint(served.final_state);
-  const std::string trace_path = ::testing::TempDir() + "/fi_eio_sweep_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/fi_eio_sweep_reports.bin";
+  const std::string trace_path = TestTempDir() + "/fi_eio_sweep_trace.bin";
+  const std::string reports_path = TestTempDir() + "/fi_eio_sweep_reports.bin";
   // Spill once with the default env: every schedule below audits the same clean files.
   ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
   ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
@@ -505,15 +479,15 @@ TEST(FaultInjection, StaleCheckpointFromDifferentEpochIsIgnored) {
   Workload w = CounterWorkload(60);
   ServedWorkload served = ServeWorkload(w);
   ServedWorkload other = ServeWorkload(CounterWorkload(40));
-  const std::string trace_path = ::testing::TempDir() + "/fi_stale_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/fi_stale_reports.bin";
-  const std::string other_trace = ::testing::TempDir() + "/fi_stale_trace2.bin";
-  const std::string other_reports = ::testing::TempDir() + "/fi_stale_reports2.bin";
+  const std::string trace_path = TestTempDir() + "/fi_stale_trace.bin";
+  const std::string reports_path = TestTempDir() + "/fi_stale_reports.bin";
+  const std::string other_trace = TestTempDir() + "/fi_stale_trace2.bin";
+  const std::string other_reports = TestTempDir() + "/fi_stale_reports2.bin";
   ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
   ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
   ASSERT_TRUE(WriteTraceFile(other_trace, other.trace).ok());
   ASSERT_TRUE(WriteReportsFile(other_reports, other.reports).ok());
-  const std::string checkpoint = ::testing::TempDir() + "/fi_stale.ckpt";
+  const std::string checkpoint = TestTempDir() + "/fi_stale.ckpt";
 
   AuditOptions opts;
   opts.num_threads = 2;
@@ -559,9 +533,9 @@ TEST(FaultInjection, PrepareRejectSpendsTheCheckpoint) {
     bumped = std::min(bumped, rid);
   }
   served.reports.op_counts[bumped]++;
-  const std::string trace_path = ::testing::TempDir() + "/fi_prep_reject_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/fi_prep_reject_reports.bin";
-  const std::string checkpoint = ::testing::TempDir() + "/fi_prep_reject.ckpt";
+  const std::string trace_path = TestTempDir() + "/fi_prep_reject_trace.bin";
+  const std::string reports_path = TestTempDir() + "/fi_prep_reject_reports.bin";
+  const std::string checkpoint = TestTempDir() + "/fi_prep_reject.ckpt";
   ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
   ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
 
@@ -597,18 +571,18 @@ TEST(FaultInjection, FlushAndExportPropagateWriteFailuresAndKeepData) {
       collector.RecordResponse(e.rid, e.body);
     }
   }
-  const std::string trace_path = ::testing::TempDir() + "/fi_flush_trace.bin";
+  const std::string trace_path = TestTempDir() + "/fi_flush_trace.bin";
   Status flush = collector.Flush(trace_path);
   EXPECT_FALSE(flush.ok());
   // The failed flush loses no recorded traffic: the trace is still there to retry.
   EXPECT_EQ(collector.TakeTrace().events.size(), served.trace.events.size());
 
   ServerCore core(&w.app, w.initial, ServerOptions{.record_reports = true, .io_env = &env});
-  const std::string reports_path = ::testing::TempDir() + "/fi_export_reports.bin";
+  const std::string reports_path = TestTempDir() + "/fi_export_reports.bin";
   EXPECT_FALSE(core.ExportReports(reports_path).ok());
 
   EXPECT_FALSE(
-      WriteInitialStateFile(::testing::TempDir() + "/fi_state.bin", served.initial, &env)
+      WriteInitialStateFile(TestTempDir() + "/fi_state.bin", served.initial, &env)
           .ok());
 }
 

@@ -13,6 +13,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/stats_server.h"
 #include "src/obs/trace.h"
+#include "tests/test_util.h"
 
 namespace orochi {
 namespace obs {
@@ -185,6 +186,13 @@ TEST(PhaseTracerTest, RecordsAttributeToTheRightPhase) {
   EXPECT_EQ(totals.spans[static_cast<int>(Phase::kPass2Execute)], 2u);
   EXPECT_NEAR(totals.total_seconds(), 1.25, 1e-9);
 
+  // A nested phase's seconds already lie inside its parent's: the total counts them once.
+  tracer.Record(Phase::kSqlQuery, 0, 0.25);
+  EXPECT_TRUE(PhaseIsNested(Phase::kSqlQuery));
+  EXPECT_FALSE(PhaseIsNested(Phase::kPass2Execute));
+  EXPECT_NEAR(tracer.totals()[Phase::kSqlQuery], 0.25, 1e-9);
+  EXPECT_NEAR(tracer.totals().total_seconds(), 1.25, 1e-9);
+
   // DiffSince isolates one epoch's contribution.
   PhaseBreakdown mark = tracer.totals();
   tracer.Record(Phase::kPass3Compare, 0, 0.125);
@@ -215,7 +223,7 @@ TEST(PhaseTracerTest, TraceSpanTimesItsScope) {
 }
 
 TEST(PhaseTracerTest, ChromeTraceFlushWritesEvents) {
-  const std::string path = ::testing::TempDir() + "/orochi_obs_trace.json";
+  const std::string path = TestTempDir() + "/orochi_obs_trace.json";
   PhaseTracer tracer;
   tracer.EnableChromeTrace(path);
   tracer.Record(Phase::kPrepare, 1.0, 0.5);
@@ -257,7 +265,7 @@ std::string HttpGet(const std::string& address, const std::string& request) {
 }
 
 TEST(StatsServerTest, RoundTripOverUnixSocket) {
-  const std::string sock = ::testing::TempDir() + "/orochi_obs_stats.sock";
+  const std::string sock = TestTempDir() + "/orochi_obs_stats.sock";
   StatsServer server;
   server.Handle("/metrics", "text/plain", [] { return std::string("series 42\n"); });
   server.Handle("/epochs", "application/json", [] { return std::string("{\"epochs\": []}"); });
@@ -279,7 +287,7 @@ TEST(StatsServerTest, RoundTripOverUnixSocket) {
 }
 
 TEST(StatsServerTest, MalformedAndUnknownRequests) {
-  const std::string sock = ::testing::TempDir() + "/orochi_obs_stats2.sock";
+  const std::string sock = TestTempDir() + "/orochi_obs_stats2.sock";
   StatsServer server;
   server.Handle("/metrics", "text/plain", [] { return std::string("x\n"); });
   ASSERT_TRUE(server.Start("unix:" + sock).ok());

@@ -211,8 +211,8 @@ SpilledEpoch SpillCounterEpoch(const std::string& tag, size_t n) {
   out.w = CounterWorkload(n);
   ServedWorkload served = ServeWorkload(out.w);
   out.initial = served.initial;
-  out.trace_path = ::testing::TempDir() + "/stream_" + tag + "_trace.bin";
-  out.reports_path = ::testing::TempDir() + "/stream_" + tag + "_reports.bin";
+  out.trace_path = TestTempDir() + "/stream_" + tag + "_trace.bin";
+  out.reports_path = TestTempDir() + "/stream_" + tag + "_reports.bin";
   EXPECT_TRUE(WriteTraceFile(out.trace_path, served.trace).ok());
   EXPECT_TRUE(WriteReportsFile(out.reports_path, served.reports).ok());
   return out;
@@ -360,8 +360,8 @@ TEST(StreamAudit, HotObjectSegmentedSpillAuditsWithinOneSegmentTransient) {
     w.items.push_back(std::move(item));
   }
   ServedWorkload served = ServeWorkload(w);
-  const std::string trace_path = ::testing::TempDir() + "/stream_hot_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/stream_hot_reports.bin";
+  const std::string trace_path = TestTempDir() + "/stream_hot_trace.bin";
+  const std::string reports_path = TestTempDir() + "/stream_hot_reports.bin";
   ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
   ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
 
@@ -451,7 +451,7 @@ TEST(StreamAudit, OpLogPointReadsReproduceContentsExactly) {
   r.op_counts[7] = 2;
   r.op_counts[8] = 1;
   r.nondet[7].push_back({"time", Value::Int(99).Serialize()});
-  std::string path = ::testing::TempDir() + "/stream_oplog_point_reads.bin";
+  std::string path = TestTempDir() + "/stream_oplog_point_reads.bin";
   ASSERT_TRUE(WriteReportsFile(path, r).ok());
 
   StreamReportsSet set;
@@ -509,7 +509,7 @@ TEST(StreamAudit, TamperedEpochRejectsIdenticallyInBothPathsAcrossThreads) {
     }
   }
   ASSERT_TRUE(TamperResponseBody(&trace.value(), victim, "forged"));
-  std::string tampered_path = ::testing::TempDir() + "/stream_tampered_trace.bin";
+  std::string tampered_path = TestTempDir() + "/stream_tampered_trace.bin";
   ASSERT_TRUE(WriteTraceFile(tampered_path, trace.value()).ok());
 
   std::string base_reason;
@@ -568,7 +568,7 @@ TEST(StreamAudit, BudgetSmallerThanLargestChunkLoadsOneChunkAtATime) {
 
 TEST(StreamAudit, FileErrorsMatchInMemoryPathAndConsumeNoEpoch) {
   Workload w = CounterWorkload(10);
-  std::string missing = ::testing::TempDir() + "/stream_no_such_file.bin";
+  std::string missing = TestTempDir() + "/stream_no_such_file.bin";
   AuditSession in_memory = AuditSession::Open(&w.app, StreamOptions(1, 0), w.initial);
   AuditSession streamed = AuditSession::Open(&w.app, StreamOptions(1, 0), w.initial);
   Result<AuditResult> ref = in_memory.FeedEpochFiles(missing, missing);
@@ -601,8 +601,8 @@ ShardSpill ServeShard(const Workload& w, const std::vector<WorkItem>& items,
     server.Drain();
   }
   ShardSpill out;
-  out.trace_path = ::testing::TempDir() + "/shard_" + tag + "_trace.bin";
-  out.reports_path = ::testing::TempDir() + "/shard_" + tag + "_reports.bin";
+  out.trace_path = TestTempDir() + "/shard_" + tag + "_trace.bin";
+  out.reports_path = TestTempDir() + "/shard_" + tag + "_reports.bin";
   EXPECT_TRUE(collector.Flush(out.trace_path).ok());
   EXPECT_TRUE(core.ExportReports(out.reports_path).ok());
   return out;
@@ -674,12 +674,44 @@ TEST(ShardedAudit, MultiShardMatchesInMemoryMergedAuditAcrossThreads) {
   }
 }
 
+// Per-shard pass-1 builds record into the session's tracer, one span per shard, and the
+// shard_merge spans cover only the id resolution and the fold — no second is counted in
+// both phases, and nothing leaks into the process-wide tracer.
+TEST(ShardedAudit, PrivateTracerGetsEveryShardPass1Span) {
+  Workload base = CounterWorkload(0);
+  std::vector<ShardEpochFiles> shard_files;
+  for (uint32_t id : {1u, 2u, 3u}) {
+    Workload shard_w = CounterWorkload(30, "t" + std::to_string(id) + "_");
+    ShardSpill s = ServeShard(base, shard_w.items, id, /*base_rid=*/1 + 1000 * id,
+                              "tracer_" + std::to_string(id));
+    shard_files.push_back({s.trace_path, s.reports_path});
+  }
+  const obs::PhaseBreakdown default_before = obs::PhaseTracer::Default()->totals();
+  obs::PhaseTracer tracer;
+  AuditOptions options = StreamOptions(2, kBudget);
+  options.tracer = &tracer;
+  AuditSession session = AuditSession::Open(&base.app, options, base.initial);
+  Result<AuditResult> got = session.FeedShardedEpoch(shard_files);
+  ASSERT_TRUE(got.ok()) << got.error();
+  ASSERT_TRUE(got.value().accepted) << got.value().reason;
+
+  const obs::PhaseBreakdown& p = got.value().phases;
+  EXPECT_EQ(p.spans[static_cast<int>(obs::Phase::kPass1Skeleton)], 3u);
+  EXPECT_EQ(p.spans[static_cast<int>(obs::Phase::kShardMerge)], 2u);
+  EXPECT_EQ(p.spans[static_cast<int>(obs::Phase::kStoreBuild)], 1u);
+  const obs::PhaseBreakdown default_delta =
+      obs::PhaseTracer::Default()->totals().DiffSince(default_before);
+  for (int phase = 0; phase < obs::kNumPhases; phase++) {
+    EXPECT_EQ(default_delta.spans[phase], 0u) << obs::PhaseName(static_cast<obs::Phase>(phase));
+  }
+}
+
 TEST(ShardedAudit, EmptyShardMergesCleanly) {
   SpilledEpoch e = SpillCounterEpoch("with_empty", 45);
   // Re-stamp the served shard as shard 1; shard 2 saw no traffic this epoch.
   Result<Trace> t = ReadTraceFile(e.trace_path);
   ASSERT_TRUE(t.ok());
-  std::string shard1_trace = ::testing::TempDir() + "/shard_empty_t1.bin";
+  std::string shard1_trace = TestTempDir() + "/shard_empty_t1.bin";
   ASSERT_TRUE(WriteTraceFile(shard1_trace, t.value(), /*shard_id=*/1).ok());
   ShardSpill empty = ServeShard(e.w, {}, /*shard_id=*/2, /*base_rid=*/5000, "empty2");
 
@@ -742,7 +774,7 @@ TEST(ShardedAudit, ManifestDrivesTheMergeAndChecksStampedIds) {
     manifest.shards.push_back({id, s.trace_path.substr(s.trace_path.rfind('/') + 1),
                                s.reports_path.substr(s.reports_path.rfind('/') + 1)});
   }
-  std::string manifest_path = ::testing::TempDir() + "/shard_manifest.bin";
+  std::string manifest_path = TestTempDir() + "/shard_manifest.bin";
   ASSERT_TRUE(WriteShardManifestFile(manifest_path, manifest).ok());
 
   AuditSession session = AuditSession::Open(&base.app, StreamOptions(2, kBudget), base.initial);
@@ -752,7 +784,7 @@ TEST(ShardedAudit, ManifestDrivesTheMergeAndChecksStampedIds) {
 
   // A manifest that misattributes a stamped shard is rejected before any audit work.
   manifest.shards[0].shard_id = 9;
-  std::string bad_path = ::testing::TempDir() + "/shard_manifest_bad.bin";
+  std::string bad_path = TestTempDir() + "/shard_manifest_bad.bin";
   ASSERT_TRUE(WriteShardManifestFile(bad_path, manifest).ok());
   AuditSession session2 = AuditSession::Open(&base.app, StreamOptions(2, 0), base.initial);
   Result<AuditResult> bad = session2.FeedShardedEpoch(bad_path);
@@ -773,7 +805,7 @@ TEST(StreamAudit, PointReadsReproducePayloadsExactly) {
   resp.rid = 42;
   resp.body = std::string("body\0with\xff" "binary", 16);
   t.events.push_back(resp);
-  std::string path = ::testing::TempDir() + "/stream_point_reads.bin";
+  std::string path = TestTempDir() + "/stream_point_reads.bin";
   ASSERT_TRUE(WriteTraceFile(path, t, /*shard_id=*/4).ok());
 
   StreamTraceSet set;

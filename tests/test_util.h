@@ -1,13 +1,19 @@
 // Shared helpers for the test suite: run a workload through the recording server and hand
-// back everything an audit needs.
+// back everything an audit needs, seeds for randomized sweeps, and a private temp dir.
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "src/common/strings.h"
 #include "src/objects/reports.h"
@@ -16,6 +22,7 @@
 #include "src/server/collector.h"
 #include "src/server/server_core.h"
 #include "src/server/thread_server.h"
+#include "src/stream/chunk_loader.h"
 #include "src/workload/workloads.h"
 
 namespace orochi {
@@ -70,6 +77,56 @@ inline uint64_t TestBaseSeed(uint64_t default_seed) {
 // sweep prints the exact rerun command.
 inline std::string SeedTraceMessage(uint64_t base_seed) {
   return "rerun with OROCHI_TEST_SEED=" + std::to_string(base_seed);
+}
+
+// Trace loader that simulates a process killed mid-audit: the first `allowed` payload
+// loads (pass-2 requests, then pass-3 responses) succeed, then every load fails
+// permanently. Tasks already paged in retire (and journal); the failing load surfaces an
+// I/O error, never a verdict.
+class KillSwitchLoader : public TraceChunkLoader {
+ public:
+  KillSwitchLoader(const StreamTraceSet* set, uint64_t allowed)
+      : real_(set), allowed_(allowed) {}
+
+  Status Load(const StreamTraceSet& set, size_t index, TraceEvent* event) override {
+    if (loads_.fetch_add(1) >= allowed_) {
+      return Status::Error("io: injected mid-audit kill at payload load " +
+                           std::to_string(allowed_) + " in " +
+                           set.file_path(set.loc(index).file));
+    }
+    return real_.Load(set, index, event);
+  }
+  void Evict(const StreamTraceSet& set, size_t index, TraceEvent* event) override {
+    real_.Evict(set, index, event);
+  }
+
+ private:
+  FileTraceChunkLoader real_;
+  std::atomic<uint64_t> loads_{0};
+  const uint64_t allowed_;
+};
+
+// This test process's private scratch directory: a pid-suffixed directory below
+// ::testing::TempDir(), emptied on first use and removed at exit. Every spill file,
+// checkpoint, spool and socket a suite creates goes under it, so concurrent runs (ctest
+// -j, other build trees) never share a path, and a checkpoint left by a killed run is
+// never resumed by the next one.
+inline const std::string& TestTempDir() {
+  // Never destroyed, so the atexit cleanup can still read it.
+  static const std::string* dir =
+      new std::string(::testing::TempDir() + "/orochi_test_" + std::to_string(::getpid()));
+  static const bool created = [] {
+    std::error_code ec;
+    std::filesystem::remove_all(*dir, ec);
+    std::filesystem::create_directories(*dir, ec);
+    std::atexit([] {
+      std::error_code ignored;
+      std::filesystem::remove_all(*dir, ignored);
+    });
+    return true;
+  }();
+  (void)created;
+  return *dir;
 }
 
 }  // namespace orochi

@@ -350,7 +350,7 @@ TEST(ServiceConfig, ValidKnobsOverrideAndDefaultsSurvive) {
 // --- The transport itself ---
 
 TEST(Transport, UnixDomainRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/orochi_transport_test.sock";
+  const std::string path = TestTempDir() + "/orochi_transport_test.sock";
   Result<std::unique_ptr<Listener>> listener =
       Transport::Default()->Listen("unix:" + path);
   ASSERT_TRUE(listener.ok()) << (listener.ok() ? "" : listener.error());

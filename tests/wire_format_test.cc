@@ -10,12 +10,13 @@
 
 #include "src/lang/value.h"
 #include "src/server/collector.h"
+#include "tests/test_util.h"
 
 namespace orochi {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/wire_" + name;
+  return TestTempDir() + "/wire_" + name;
 }
 
 std::string ReadFileBytes(const std::string& path) {

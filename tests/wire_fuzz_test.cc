@@ -11,8 +11,13 @@
 //   3. the in-memory and streamed paths must classify every mutation identically —
 //      same error, same verdict, same reason, same final state — so a validator that
 //      drifts between the resident reader and the streaming index shows up here.
+//
+// The verifier's own checkpoint journal is durable state rather than untrusted input, so
+// its sweep holds a stronger line: a resume over any flipped or truncated journal still
+// reaches exactly the uninterrupted audit's verdict, reason and final state.
 #include <cstdio>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -246,7 +251,7 @@ FuzzFixture BuildFixture() {
   EXPECT_TRUE(
       fx.w.initial.db.ExecuteText("CREATE TABLE hits (key TEXT, who TEXT, n INT)").ok());
 
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = TestTempDir();
   std::string trace1 = dir + "/fuzz_e1_trace.bin";
   std::string reports1 = dir + "/fuzz_e1_reports.bin";
   fx.trace_path = dir + "/fuzz_e2_trace.bin";
@@ -327,7 +332,7 @@ TEST(WireFuzz, TraceAndReportsMutationsNeverCrashAndNeverFalselyAccept) {
   FuzzFixture fx = BuildFixture();
   const std::string pristine_trace = ReadAll(fx.trace_path);
   const std::string pristine_reports = ReadAll(fx.reports_path);
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = TestTempDir();
 
   struct Kind {
     const char* name;
@@ -373,7 +378,7 @@ TEST(WireFuzz, TraceAndReportsMutationsNeverCrashAndNeverFalselyAccept) {
 TEST(WireFuzz, ManifestMutationsNeverCrashAndNeverFalselyAccept) {
   FuzzFixture fx = BuildFixture();
   const std::string pristine = ReadAll(fx.manifest_path);
-  const std::string mutated_path = ::testing::TempDir() + "/fuzz_mut.manifest";
+  const std::string mutated_path = TestTempDir() + "/fuzz_mut.manifest";
   const uint64_t base_seed = TestBaseSeed(0x5EED0000);
   SCOPED_TRACE(SeedTraceMessage(base_seed));
   Rng rng(base_seed + 3);
@@ -393,7 +398,7 @@ TEST(WireFuzz, ManifestMutationsNeverCrashAndNeverFalselyAccept) {
 TEST(WireFuzz, StateSnapshotMutationsNeverCrashAndLoadDefensively) {
   FuzzFixture fx = BuildFixture();
   const std::string pristine = ReadAll(fx.state_path);
-  const std::string mutated_path = ::testing::TempDir() + "/fuzz_mut_state.bin";
+  const std::string mutated_path = TestTempDir() + "/fuzz_mut_state.bin";
   const uint64_t base_seed = TestBaseSeed(0x5EED0000);
   SCOPED_TRACE(SeedTraceMessage(base_seed));
   Rng rng(base_seed + 4);
@@ -446,7 +451,7 @@ SegmentedFixture BuildSegmentedFixture() {
   fx.w.app = BuildCounterApp();
   EXPECT_TRUE(
       fx.w.initial.db.ExecuteText("CREATE TABLE hits (key TEXT, who TEXT, n INT)").ok());
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = TestTempDir();
   fx.trace_path = dir + "/seg_trace.bin";
   fx.reports_path = dir + "/seg_reports.bin";
 
@@ -508,7 +513,7 @@ TEST(WireFuzz, SegmentedOpLogPrefixForgeriesRejectIdenticallyOnBothPaths) {
        [&](std::string* b) { PutU32At(b, p1, 0xfffffffeu); }},
   };
 
-  const std::string mutated_path = ::testing::TempDir() + "/seg_forged_reports.bin";
+  const std::string mutated_path = TestTempDir() + "/seg_forged_reports.bin";
   for (const Forgery& forgery : forgeries) {
     std::string bytes = pristine;
     forgery.apply(&bytes);
@@ -537,7 +542,7 @@ TEST(WireFuzz, SegmentedReportsMutationsNeverCrashAndNeverFalselyAccept) {
   SegmentedFixture fx = BuildSegmentedFixture();
   const std::string pristine = ReadAll(fx.reports_path);
   ASSERT_GE(FindSegmentRecords(pristine).size(), 2u);
-  const std::string mutated_path = ::testing::TempDir() + "/seg_mut_reports.bin";
+  const std::string mutated_path = TestTempDir() + "/seg_mut_reports.bin";
   const uint64_t base_seed = TestBaseSeed(0x5EED0000);
   SCOPED_TRACE(SeedTraceMessage(base_seed));
   Rng rng(base_seed + 5);
@@ -558,6 +563,124 @@ TEST(WireFuzz, SegmentedReportsMutationsNeverCrashAndNeverFalselyAccept) {
                             << "}";
   }
   EXPECT_GT(tally.errors, 5u);
+}
+
+// --- Checkpoint journal ---
+
+struct JournalRecord {
+  uint8_t type;
+  std::string payload;
+};
+
+// The records of a checkpoint journal in file order, up to the first malformed frame.
+std::vector<JournalRecord> ParseJournal(const std::string& bytes) {
+  std::vector<JournalRecord> out;
+  size_t pos = wire::kEnvelopeHeaderBytes;
+  uint8_t type = 0;
+  uint64_t len = 0;
+  uint32_t crc = 0;
+  while (pos < bytes.size() &&
+         wire::ParseRecordFrameV2(bytes.data() + pos, bytes.size() - pos, &type, &len, &crc) &&
+         len <= bytes.size() - pos - wire::kRecordFrameBytesV2) {
+    out.push_back({type, bytes.substr(pos + wire::kRecordFrameBytesV2, len)});
+    pos += wire::kRecordFrameBytesV2 + static_cast<size_t>(len);
+  }
+  return out;
+}
+
+// The journal a run over the fixture's epoch 2 leaves when killed mid-pass-3. Pass 2 loads
+// each of the 36 request payloads once, so 70 loads die at the 35th response, past the
+// 32-response compare watermark: the journal holds meta, Prepare-scan, chunk and compare
+// records.
+std::string KilledRunJournal(const FuzzFixture& fx, const std::string& checkpoint) {
+  AuditOptions options = FuzzOptions();
+  options.checkpoint_path = checkpoint;
+  StreamTraceSet probe;
+  EXPECT_TRUE(probe.AppendFile(fx.trace_path).ok());
+  KillSwitchLoader killer(&probe, /*allowed=*/70);
+  StreamAuditHooks hooks;
+  hooks.loader = &killer;
+  AuditSession session = AuditSession::Open(&fx.w.app, options, fx.epoch2_initial);
+  Result<AuditResult> killed =
+      session.FeedEpochFilesStreamed(fx.trace_path, fx.reports_path, &hooks);
+  EXPECT_FALSE(killed.ok());
+  return ReadAll(checkpoint);
+}
+
+// Installs `journal` as the checkpoint and resumes the fixture's epoch 2 over it.
+Outcome ResumeFrom(const FuzzFixture& fx, const std::string& checkpoint,
+                   const std::string& journal, uint64_t* chunks_reused) {
+  WriteAll(checkpoint, journal);
+  AuditOptions options = FuzzOptions();
+  options.checkpoint_path = checkpoint;
+  AuditSession session = AuditSession::Open(&fx.w.app, options, fx.epoch2_initial);
+  Result<AuditResult> r = session.FeedEpochFilesStreamed(fx.trace_path, fx.reports_path);
+  *chunks_reused = r.ok() ? r.value().stats.checkpoint_chunks_reused : 0;
+  return FromFeed(r);
+}
+
+TEST(WireFuzz, CheckpointJournalMutationsResumeToTheUninterruptedVerdict) {
+  FuzzFixture fx = BuildFixture();
+  const std::string checkpoint = TestTempDir() + "/fuzz_resume.ckpt";
+  const std::string pristine = KilledRunJournal(fx, checkpoint);
+  std::set<uint8_t> types;
+  for (const JournalRecord& rec : ParseJournal(pristine)) {
+    types.insert(rec.type);
+  }
+  // Meta, Prepare scan, compare watermark, chunk.
+  EXPECT_EQ(types, (std::set<uint8_t>{1, 3, 4, 5}));
+  uint64_t reused = 0;
+  Outcome got = ResumeFrom(fx, checkpoint, pristine, &reused);
+  EXPECT_TRUE(got == fx.reference) << got.error << got.reason;
+  EXPECT_GT(reused, 0u);
+
+  const uint64_t base_seed = TestBaseSeed(0x5EED0000);
+  SCOPED_TRACE(SeedTraceMessage(base_seed));
+  Rng rng(base_seed + 6);
+  size_t partial_reuse = 0;
+  for (int i = 0; i < 64; i++) {
+    std::string bytes = pristine;
+    std::string label;
+    if (rng.Chance(0.25)) {
+      bytes.resize(static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(bytes.size()) - 1)));
+      label = "truncate@" + std::to_string(bytes.size());
+    } else {
+      size_t off = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(bytes.size()) - 1));
+      uint8_t mask = static_cast<uint8_t>(rng.UniformInt(1, 255));
+      bytes[off] = static_cast<char>(static_cast<uint8_t>(bytes[off]) ^ mask);
+      label = "flip@" + std::to_string(off) + "^" + std::to_string(mask);
+    }
+    got = ResumeFrom(fx, checkpoint, bytes, &reused);
+    EXPECT_TRUE(got == fx.reference)
+        << "journal " << label << ": {" << got.error << "|" << got.reason << "}";
+    partial_reuse += reused > 0 ? 1 : 0;
+  }
+  // Most mutations land past the head, so the intact prefix still replays.
+  EXPECT_GT(partial_reuse, 0u);
+}
+
+// A journal in the retired layout, whose type-2 chunk records carried five f64 wall-time
+// fields after the order, stops parsing at its first chunk record: the resume reuses no
+// chunk and still reaches the uninterrupted verdict.
+TEST(WireFuzz, RetiredChunkLayoutJournalReusesNoChunk) {
+  FuzzFixture fx = BuildFixture();
+  const std::string checkpoint = TestTempDir() + "/fuzz_retired_layout.ckpt";
+  const std::string journal = KilledRunJournal(fx, checkpoint);
+  std::string retired = journal.substr(0, wire::kEnvelopeHeaderBytes);
+  size_t chunks = 0;
+  for (JournalRecord rec : ParseJournal(journal)) {
+    if (rec.type == 5) {
+      rec.type = 2;
+      rec.payload.insert(8, std::string(5 * 8, '\0'));
+      chunks++;
+    }
+    wire::AppendRecordFrame(&retired, rec.type, rec.payload);
+  }
+  ASSERT_GT(chunks, 0u);
+  uint64_t reused = 1;
+  Outcome got = ResumeFrom(fx, checkpoint, retired, &reused);
+  EXPECT_TRUE(got == fx.reference) << got.error << got.reason;
+  EXPECT_EQ(reused, 0u);
 }
 
 }  // namespace
