@@ -1,6 +1,7 @@
 #include "src/core/audit_context.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "src/objects/db_adapter.h"
 #include "src/sql/sql_parser.h"
@@ -181,17 +182,40 @@ Status AuditContext::BuildVersionedDb() {
   // with ts = s * MAXQ + q. Claimed failures are validated where the engine permits. The
   // log is consumed as one forward scan, so the out-of-core path can page its contents in
   // segment by segment instead of keeping the (typically dominant) SQL text resident.
+  // Parsing is memoized by exact bytes (see InternedDbOp); everything that depends on the
+  // timestamp (replay, affected counts, rejection) still happens per entry.
+  std::unordered_map<std::string, const InternedDbOp*> ops_by_contents;
+  std::unordered_map<std::string_view, const InternedSql*> sql_by_text;
+  auto intern = [&](const std::string& bytes) {
+    const InternedDbOp*& slot = ops_by_contents[bytes];
+    if (slot == nullptr) {
+      InternedDbOp& op = db_op_table_.emplace_back(InternedDbOp{ParseDbContents(bytes), {}});
+      if (op.contents.ok()) {
+        // Views into op.contents stay valid: deque elements never move.
+        for (const std::string& text : op.contents.value().sql) {
+          const InternedSql*& sql = sql_by_text[text];
+          if (sql == nullptr) {
+            sql = &sql_table_.emplace_back(InternedSql{sql_table_.size(), ParseSql(text)});
+          }
+          op.stmts.push_back(sql);
+        }
+      }
+      slot = &op;
+    }
+    return slot;
+  };
   db_log_parsed_.reserve(reports_->op_logs[static_cast<size_t>(db_object_)].size());
-  return ScanOpLog(static_cast<size_t>(db_object_), [&](const OpRecord& op, uint64_t s) {
+  Status st = ScanOpLog(static_cast<size_t>(db_object_), [&](const OpRecord& op, uint64_t s) {
     if (op.type != StateOpType::kDbOp) {
-      db_log_parsed_.emplace_back();  // Type mismatch is caught by CheckOp if referenced.
+      db_log_parsed_.push_back(nullptr);  // Type mismatch is caught by CheckOp if referenced.
       return Status::Ok();
     }
-    Result<DbContents> dc = ParseDbContents(op.contents);
-    if (!dc.ok()) {
-      return Status::Error("db log entry " + std::to_string(s) + ": " + dc.error());
+    const InternedDbOp* entry = intern(op.contents);
+    if (!entry->contents.ok()) {
+      return Status::Error("db log entry " + std::to_string(s) + ": " +
+                           entry->contents.error());
     }
-    DbContents contents = std::move(dc).value();
+    const DbContents& contents = entry->contents.value();
     if (contents.sql.size() > VersionedDatabase::kMaxQueriesPerTxn - 1) {
       return Status::Error("db log entry " + std::to_string(s) + ": too many statements");
     }
@@ -201,7 +225,7 @@ Status AuditContext::BuildVersionedDb() {
       // transaction aborts are a form of non-determinism).
       if (contents.sql.size() == 1) {
         uint64_t ts = VersionedDatabase::MakeTimestamp(s, 1);
-        Result<SqlStatement> stmt = ParseSql(contents.sql[0]);
+        const Result<SqlStatement>& stmt = entry->stmts[0]->stmt;
         if (stmt.ok()) {
           Result<StmtResult> r =
               stmt.value().kind == SqlStmtKind::kSelect
@@ -213,12 +237,12 @@ Status AuditContext::BuildVersionedDb() {
           }
         }
       }
-      db_log_parsed_.push_back(std::move(contents));
+      db_log_parsed_.push_back(entry);
       return Status::Ok();
     }
     for (size_t q = 1; q <= contents.sql.size(); q++) {
       uint64_t ts = VersionedDatabase::MakeTimestamp(s, q);
-      Result<SqlStatement> stmt = ParseSql(contents.sql[q - 1]);
+      const Result<SqlStatement>& stmt = entry->stmts[q - 1]->stmt;
       if (!stmt.ok()) {
         return Status::Error("db log entry " + std::to_string(s) +
                              " claims success but statement " + std::to_string(q) +
@@ -234,9 +258,16 @@ Status AuditContext::BuildVersionedDb() {
       }
       redo_affected_[ts] = r.value().affected;
     }
-    db_log_parsed_.push_back(std::move(contents));
+    db_log_parsed_.push_back(entry);
     return Status::Ok();
   });
+  // Writes are applied; pass 2 reads their outcomes from redo_affected_, so free their ASTs.
+  for (InternedSql& sql : sql_table_) {
+    if (sql.stmt.ok() && sql.stmt.value().kind != SqlStmtKind::kSelect) {
+      sql.stmt = Result<SqlStatement>::Error("write statement: applied by the redo");
+    }
+  }
+  return st;
 }
 
 uint32_t AuditContext::OpCount(RequestId rid) const {
@@ -300,10 +331,10 @@ Result<OpLocation> AuditContext::CheckOp(RequestId rid, uint32_t opnum,
       break;
     case StateOpType::kDbOp: {
       if (db_object_ < 0 || loc.object != static_cast<uint32_t>(db_object_) ||
-          loc.seqnum > db_log_parsed_.size()) {
+          loc.seqnum > db_log_parsed_.size() || db_log_parsed_[loc.seqnum - 1] == nullptr) {
         return R::Error("CheckOp: db op points outside the db log");
       }
-      const DbContents& dc = db_log_parsed_[loc.seqnum - 1];
+      const DbContents& dc = db_log_parsed_[loc.seqnum - 1]->contents.value();
       if (dc.sql != op.sql || dc.is_txn != op.db_is_txn) {
         return R::Error("CheckOp: db statements mismatch");
       }
@@ -313,33 +344,18 @@ Result<OpLocation> AuditContext::CheckOp(RequestId rid, uint32_t opnum,
   return loc;
 }
 
-Result<Value> AuditContext::RunSelect(const std::string& sql, uint64_t ts,
+Result<Value> AuditContext::RunSelect(const InternedSql& sql, uint64_t ts,
                                       AuditWorkerState* ws) {
   using R = Result<Value>;
-  QueryCacheShard& shard = query_cache_[std::hash<std::string>{}(sql) % kQueryCacheShards];
-
-  // Parse cache. Parsing happens outside the shard lock; if two workers race on the same
-  // uncached statement, both parse and the first insert wins (identical content either way).
-  std::shared_ptr<const SqlStatement> stmt;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto pit = shard.parse.find(sql);
-    if (pit != shard.parse.end()) {
-      stmt = pit->second;
-    }
+  if (!sql.stmt.ok()) {
+    return R::Error(sql.stmt.error());
   }
-  if (stmt == nullptr) {
-    Result<SqlStatement> parsed = ParseSql(sql);
-    if (!parsed.ok()) {
-      return R::Error(parsed.error());
-    }
-    stmt = std::make_shared<const SqlStatement>(std::move(parsed).value());
-    std::lock_guard<std::mutex> lock(shard.mu);
-    stmt = shard.parse.emplace(sql, stmt).first->second;
-  }
+  const SqlStatement* stmt = &sql.stmt.value();
   if (stmt->kind != SqlStmtKind::kSelect) {
     return R::Error("RunSelect: not a SELECT");
   }
+  std::mutex& mu = dedup_mu_[sql.id % kDedupStripes];
+  std::vector<DedupEntry>& entries = sql.dedup;
 
   // A cached result at ts' serves ts when the touched table was not modified in
   // (min, max] — test both neighbours of the insertion position for ts.
@@ -349,8 +365,7 @@ Result<Value> AuditContext::RunSelect(const std::string& sql, uint64_t ts,
     return lo == hi || !versioned_db_.TableModifiedBetween(stmt->table, lo, hi);
   };
   if (options_.enable_query_dedup) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::vector<DedupEntry>& entries = shard.dedup[sql];
+    std::lock_guard<std::mutex> lock(mu);
     auto pos = std::lower_bound(entries.begin(), entries.end(), ts,
                                 [](const DedupEntry& e, uint64_t t) { return e.ts < t; });
     if (pos != entries.end() && reusable(*pos)) {
@@ -376,8 +391,7 @@ Result<Value> AuditContext::RunSelect(const std::string& sql, uint64_t ts,
   }
   Value shared = StmtResultToValue(r.value());
   if (options_.enable_query_dedup) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::vector<DedupEntry>& entries = shard.dedup[sql];
+    std::lock_guard<std::mutex> lock(mu);
     auto pos = std::lower_bound(entries.begin(), entries.end(), ts,
                                 [](const DedupEntry& e, uint64_t t) { return e.ts < t; });
     if (pos == entries.end() || pos->ts != ts) {
@@ -390,7 +404,8 @@ Result<Value> AuditContext::RunSelect(const std::string& sql, uint64_t ts,
 Result<Value> AuditContext::SimDbOp(const StateOpRequest& op, OpLocation loc,
                                     AuditWorkerState* ws) {
   using R = Result<Value>;
-  const DbContents& dc = db_log_parsed_[loc.seqnum - 1];
+  const InternedDbOp& entry = *db_log_parsed_[loc.seqnum - 1];
+  const DbContents& dc = entry.contents.value();
   if (!dc.success) {
     return op.db_is_txn ? DbTxnResultToValue(false, std::vector<Value>{})
                         : DbQueryFailureValue();
@@ -408,7 +423,7 @@ Result<Value> AuditContext::SimDbOp(const StateOpRequest& op, OpLocation loc,
       continue;
     }
     // A read (or a CREATE, which records affected = 0 and is handled above).
-    Result<Value> r = RunSelect(dc.sql[q - 1], ts, ws);
+    Result<Value> r = RunSelect(*entry.stmts[q - 1], ts, ws);
     if (!r.ok()) {
       return R::Error("db op " + std::to_string(loc.seqnum) +
                       " claims success but read fails on replay: " + r.error());

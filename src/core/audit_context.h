@@ -5,10 +5,10 @@
 //
 // Concurrency model (parallel audit): after Prepare() the versioned stores, parsed logs,
 // OpMap, and trace indexes are immutable, so CheckOp/SimOp reads are lock-free. The only
-// mutable shared state on the re-execution path is (a) the SELECT parse + dedup caches,
-// which are sharded with per-shard mutexes so §4.5 query dedup keeps working across
-// threads (a cached SELECT result is one immutable Value that every request reading it
-// shares; copy-on-write stays safe because the cache keeps a reference), and (b)
+// mutable shared state on the re-execution path is (a) the SELECT dedup cache, striped
+// over per-stripe mutexes so §4.5 query dedup keeps working across threads (a cached
+// SELECT result is one immutable Value that every request reading it shares;
+// copy-on-write stays safe because the cache keeps a reference), and (b)
 // per-request cursors/output slots, which are pre-built for every traced rid in
 // Prepare() and only ever touched by the one worker executing that rid's group.
 // Stats on the hot path accumulate into a per-worker AuditWorkerState and are merged at
@@ -17,8 +17,8 @@
 #define SRC_CORE_AUDIT_CONTEXT_H_
 
 #include <array>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -210,9 +210,31 @@ class AuditContext {
   Status BuildVersionedKv();
   Status BuildVersionedDb();
 
+  struct DedupEntry {
+    uint64_t ts;
+    // StmtResultToValue of the SELECT. Never mutated: programs that modify a returned
+    // row array copy it first, because this reference keeps the array shared.
+    Value result;
+  };
+  // The db log, interned: the redo parses each distinct op-contents text and each
+  // distinct statement text once per epoch, errors included, and every log entry with
+  // the same bytes shares that parse. Immutable after Prepare() except `dedup`. Only
+  // SELECT parses outlive the redo (pass 2 reads writes from redo_affected_).
+  struct InternedSql {
+    size_t id;  // Position in sql_table_; picks the dedup stripe.
+    Result<SqlStatement> stmt;
+    // SELECT dedup cache of this statement, sorted by ts; guarded by
+    // dedup_mu_[id % kDedupStripes].
+    mutable std::vector<DedupEntry> dedup;
+  };
+  struct InternedDbOp {
+    Result<DbContents> contents;
+    std::vector<const InternedSql*> stmts;  // One per statement when contents.ok().
+  };
+
   Result<Value> SimDbOp(const StateOpRequest& op, OpLocation loc, AuditWorkerState* ws);
   // Executes (or dedups) one SELECT at timestamp ts; returns its program-visible value.
-  Result<Value> RunSelect(const std::string& sql, uint64_t ts, AuditWorkerState* ws);
+  Result<Value> RunSelect(const InternedSql& sql, uint64_t ts, AuditWorkerState* ws);
 
   const Trace* trace_;
   const Reports* reports_;
@@ -231,26 +253,17 @@ class AuditContext {
   int kv_object_ = -1;
   int db_object_ = -1;
 
-  // Parsed DB log entries (per seqnum-1) and redo outcomes for write statements (by ts).
-  std::vector<DbContents> db_log_parsed_;
+  std::deque<InternedSql> sql_table_;
+  std::deque<InternedDbOp> db_op_table_;
+  // Per db-log entry (seqnum - 1): its interned op; null for a non-db-typed entry.
+  std::vector<const InternedDbOp*> db_log_parsed_;
+  // Redo outcomes for write statements (by ts).
   std::unordered_map<uint64_t, int64_t> redo_affected_;
 
-  // SELECT parse + dedup caches, striped so dedup works across audit workers: a shard's
-  // mutex guards its parse and dedup maps; the (expensive) SELECT itself runs outside any
-  // lock against the frozen versioned store.
-  struct DedupEntry {
-    uint64_t ts;
-    // StmtResultToValue of the SELECT. Never mutated: programs that modify a returned
-    // row array copy it first, because this reference keeps the array shared.
-    Value result;
-  };
-  struct QueryCacheShard {
-    std::mutex mu;
-    std::unordered_map<std::string, std::shared_ptr<const SqlStatement>> parse;
-    std::unordered_map<std::string, std::vector<DedupEntry>> dedup;  // Sorted by ts.
-  };
-  static constexpr size_t kQueryCacheShards = 16;
-  std::array<QueryCacheShard, kQueryCacheShards> query_cache_;
+  // Stripes of the per-statement dedup caches, so dedup works across audit workers; the
+  // (expensive) SELECT itself runs outside any lock against the frozen versioned store.
+  static constexpr size_t kDedupStripes = 16;
+  std::array<std::mutex, kDedupStripes> dedup_mu_;
 
   // Nondet cursors and monotonicity state. Pre-built for every traced rid in Prepare();
   // re-execution only mutates existing entries (one worker per rid at a time).

@@ -96,7 +96,9 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
   }
   const std::vector<AuditTask>& tasks = plan.tasks;
   // Each task accumulates into its own stats block; blocks merge in walk order afterwards,
-  // so merged stats (group_stats in particular) are independent of scheduling.
+  // so merged stats (group_stats in particular) are independent of scheduling. On a
+  // failure only tasks up to the failing order merge: first_fail only decreases, so those
+  // run to completion in every schedule, while later ones may or may not have started.
   std::vector<AuditStats> task_stats(tasks.size());
   std::vector<std::string> task_error(tasks.size());
   std::vector<uint8_t> task_gate_failed(tasks.size(), 0);
@@ -185,12 +187,13 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
   for (size_t i : serial_tasks) {
     run_task(i);
   }
-  for (const AuditStats& s : task_stats) {
-    ctx->stats().MergeFrom(s);
-  }
-
   AuditExecOutcome out;
   out.fail_order = first_fail.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < tasks.size(); i++) {
+    if (tasks[i].order <= out.fail_order) {
+      ctx->stats().MergeFrom(task_stats[i]);
+    }
+  }
   if (out.fail_order == kNoAuditFailure) {
     return out;
   }

@@ -347,5 +347,86 @@ TEST(NondetValidation, WrongBuiltinNameRejected) {
   EXPECT_FALSE(auditor.Audit(served.trace, served.reports, served.initial).accepted);
 }
 
+// --- Redo rejection paths (§4.5): the db log must replay exactly as it claims ---
+
+// Serves a small counter run, overwrites the first db-log entries with `head` (one
+// contents string per entry), and audits the result.
+AuditResult AuditWithDbLogHead(const std::vector<std::string>& head) {
+  Workload w = CounterWorkload(12);
+  ServedWorkload served = ServeWorkload(w);
+  int db = DbObj(served.reports);
+  EXPECT_GE(db, 0);
+  for (size_t i = 0; i < head.size(); i++) {
+    EXPECT_TRUE(TamperLogContents(&served.reports, static_cast<size_t>(db), i, head[i]));
+  }
+  return Auditor(&w.app).Audit(served.trace, served.reports, served.initial);
+}
+
+bool StartsWith(const std::string& s, const std::string& prefix) {
+  return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+TEST(RedoRejection, ClaimedSuccessStatementThatDoesNotParse) {
+  AuditResult r = AuditWithDbLogHead({MakeDbContents({"INSERT INTO"}, false, true)});
+  EXPECT_FALSE(r.accepted);
+  EXPECT_TRUE(StartsWith(r.reason,
+                         "db log entry 1 claims success but statement 1 does not parse: "))
+      << r.reason;
+}
+
+TEST(RedoRejection, ClaimedFailureThatSucceedsOnReplay) {
+  AuditResult r = AuditWithDbLogHead(
+      {MakeDbContents({"INSERT INTO hits (key, who, n) VALUES ('k', 'w', 1)"}, false, false)});
+  EXPECT_FALSE(r.accepted);
+  EXPECT_TRUE(
+      StartsWith(r.reason, "db log entry 1 claims failure but the statement succeeds on replay"))
+      << r.reason;
+}
+
+TEST(RedoRejection, TooManyStatements) {
+  std::vector<std::string> stmts(VersionedDatabase::kMaxQueriesPerTxn, "SELECT n FROM hits");
+  AuditResult r = AuditWithDbLogHead({MakeDbContents(stmts, true, true)});
+  EXPECT_FALSE(r.accepted);
+  EXPECT_TRUE(StartsWith(r.reason, "db log entry 1: too many statements")) << r.reason;
+}
+
+TEST(RedoRejection, ClaimedSuccessThatFailsOnReplay) {
+  AuditResult r =
+      AuditWithDbLogHead({MakeDbContents({"INSERT INTO nosuch (a) VALUES (1)"}, false, true)});
+  EXPECT_FALSE(r.accepted);
+  EXPECT_TRUE(StartsWith(r.reason, "db log entry 1 claims success but replay fails: "))
+      << r.reason;
+}
+
+// An unparsable statement is tolerated in a claimed failure (the redo cannot replay it),
+// but the same text claimed successful later must still reject: a parse shared between
+// the two entries must not carry the tolerance over.
+TEST(RedoRejection, UnparsableTextToleratedInFailureThenRejectedInSuccess) {
+  std::string failed = MakeDbContents({"INSERT INTO"}, false, false);
+  AuditResult tolerated = AuditWithDbLogHead({failed});
+  // Rejected by CheckOp (the program issued a different statement), not by the redo.
+  EXPECT_FALSE(tolerated.accepted);
+  EXPECT_FALSE(StartsWith(tolerated.reason, "db log entry")) << tolerated.reason;
+
+  AuditResult r = AuditWithDbLogHead({failed, MakeDbContents({"INSERT INTO"}, false, true)});
+  EXPECT_FALSE(r.accepted);
+  EXPECT_TRUE(StartsWith(r.reason,
+                         "db log entry 2 claims success but statement 1 does not parse: "))
+      << r.reason;
+}
+
+// The same write text claimed failed at two timestamps: it really fails at the first (no
+// table yet) and would succeed at the second, so the audit must reject the second entry.
+// Replay outcomes depend on the timestamp, never only on the text.
+TEST(RedoRejection, SameFailureClaimCheckedAtEachTimestamp) {
+  std::string failed = MakeDbContents({"INSERT INTO extra (a) VALUES (1)"}, false, false);
+  AuditResult r = AuditWithDbLogHead(
+      {failed, MakeDbContents({"CREATE TABLE extra (a INT)"}, false, true), failed});
+  EXPECT_FALSE(r.accepted);
+  EXPECT_TRUE(
+      StartsWith(r.reason, "db log entry 3 claims failure but the statement succeeds on replay"))
+      << r.reason;
+}
+
 }  // namespace
 }  // namespace orochi

@@ -127,6 +127,53 @@ TEST(ParallelAudit, TamperedForumRejectedWithSameReasonAcrossThreadCounts) {
   ExpectSameVerdictAcrossThreadCounts(w, served, /*expect_accept=*/false);
 }
 
+// A REJECTed epoch's work-volume stats must not depend on scheduling either: only tasks
+// up to the failing one merge, and every schedule runs exactly those. The forged SELECT
+// text (a trailing space: it still parses, so the redo accepts it) fails CheckOp in pass 2
+// mid-epoch, so at more than one thread later tasks race the failure.
+TEST(ParallelAudit, RejectedEpochStatsIdenticalAcrossThreadCountsAndRuns) {
+  ForumConfig config;
+  config.num_topics = 4;
+  config.num_users = 12;
+  config.num_requests = 400;
+  Workload w = MakeForumWorkload(config);
+  ServedWorkload served = ServeWorkload(w);
+  int db_object = served.reports.FindObject(ObjectKind::kDb, "");
+  ASSERT_GE(db_object, 0);
+  size_t db_len = served.reports.op_logs[static_cast<size_t>(db_object)].size();
+  ASSERT_GE(db_len, 2u);
+  const std::vector<OpRecord>& log = served.reports.op_logs[static_cast<size_t>(db_object)];
+  size_t victim = db_len / 2;
+  for (; victim < db_len; victim++) {
+    Result<DbContents> dc = ParseDbContents(log[victim].contents);
+    if (dc.ok() && dc.value().success && dc.value().sql.size() == 1 &&
+        dc.value().sql[0].rfind("SELECT", 0) == 0) {
+      break;
+    }
+  }
+  ASSERT_LT(victim, db_len) << "no single-SELECT entry in the second half of the db log";
+  DbContents dc = ParseDbContents(log[victim].contents).value();
+  ASSERT_TRUE(TamperLogContents(&served.reports, static_cast<size_t>(db_object), victim,
+                                MakeDbContents({dc.sql[0] + " "}, dc.is_txn, true)));
+  AuditResult base = AuditAt(w, served, 1);
+  ASSERT_FALSE(base.accepted);
+  ASSERT_EQ(base.reason, "CheckOp: db statements mismatch");
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (int rep = 0; rep < 5; rep++) {
+      AuditResult r = AuditAt(w, served, threads);
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " rep=" + std::to_string(rep));
+      EXPECT_FALSE(r.accepted);
+      EXPECT_EQ(r.reason, base.reason);
+      EXPECT_EQ(r.stats.total_instructions, base.stats.total_instructions);
+      EXPECT_EQ(r.stats.multivalent_instructions, base.stats.multivalent_instructions);
+      EXPECT_EQ(r.stats.ops_checked, base.stats.ops_checked);
+      EXPECT_EQ(r.stats.num_groups, base.stats.num_groups);
+      EXPECT_EQ(r.stats.db_selects_issued + r.stats.db_selects_deduped,
+                base.stats.db_selects_issued + base.stats.db_selects_deduped);
+    }
+  }
+}
+
 // A kv-log swap that is a real tamper: a set S and the next get G of the same key from
 // another request, with no set of that key in between and S writing a value other than
 // the one the key held before. After the swap G reads the older value, so G's request
