@@ -314,6 +314,11 @@ bool RunDemo() {
     if (reattaches == 0) {
       return Fail("/metrics never counted the scripted kill's reattach");
     }
+    // One service in this process, and every shard is sealed: its cells are the series.
+    if (spooled != service.stats().records_spooled) {
+      return Fail("/metrics records_spooled " + std::to_string(spooled) +
+                  " != stats() " + std::to_string(service.stats().records_spooled));
+    }
     Result<std::string> epochs = HttpGet(service.stats_address(), "/epochs");
     if (!epochs.ok()) {
       return Fail("scraping /epochs: " + epochs.error());

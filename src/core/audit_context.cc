@@ -20,7 +20,6 @@ void AuditStats::MergeFrom(const AuditStats& o) {
   db_selects_issued += o.db_selects_issued;
   db_selects_deduped += o.db_selects_deduped;
   checkpoint_chunks_reused += o.checkpoint_chunks_reused;
-  prepare_watermarks_reused += o.prepare_watermarks_reused;
   compare_records_resumed += o.compare_records_resumed;
   pass1_transient_peak_bytes = std::max(pass1_transient_peak_bytes,
                                         o.pass1_transient_peak_bytes);

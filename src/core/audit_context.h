@@ -80,10 +80,6 @@ struct AuditStats {
   // Pass-2 chunk tasks replayed from a checkpoint journal instead of re-executed (only
   // nonzero on a resumed streamed audit; see src/stream/checkpoint.h).
   uint64_t checkpoint_chunks_reused = 0;
-  // Per-object Prepare scans a prior (killed) run had already journaled as complete
-  // (only nonzero on a streamed resume; the scans still rerun — the stores are in-memory
-  // — this counts the journal's coverage of the Prepare phase).
-  uint64_t prepare_watermarks_reused = 0;
   // Pass-3 response compares skipped on resume because they sit below the prior run's
   // journaled compare watermark.
   uint64_t compare_records_resumed = 0;

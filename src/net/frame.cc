@@ -200,8 +200,6 @@ Result<bool> FrameReader::Next(uint8_t* type, std::string* payload) {
                                ", " + std::to_string(len) + " bytes) from " +
                                conn_->peer());
   }
-  frames_read_++;
-  bytes_read_ += sizeof(frame) + len;
   return true;
 }
 
@@ -211,8 +209,6 @@ Status FrameWriter::Send(uint8_t type, const std::string& payload) {
   if (Status st = conn_->WriteAll(scratch_); !st.ok()) {
     return st;
   }
-  frames_sent_++;
-  bytes_sent_ += scratch_.size();
   return Status::Ok();
 }
 

@@ -125,13 +125,8 @@ class FrameReader {
   // ("io-transient: net: ..."), a CRC mismatch is "wire: ..." corruption.
   Result<bool> Next(uint8_t* type, std::string* payload);
 
-  uint64_t frames_read() const { return frames_read_; }
-  uint64_t bytes_read() const { return bytes_read_; }
-
  private:
   Connection* conn_;
-  uint64_t frames_read_ = 0;
-  uint64_t bytes_read_ = 0;
 };
 
 // Writes frames; reusable scratch keeps a hot sender allocation-free.
@@ -141,14 +136,9 @@ class FrameWriter {
 
   Status Send(uint8_t type, const std::string& payload);
 
-  uint64_t frames_sent() const { return frames_sent_; }
-  uint64_t bytes_sent() const { return bytes_sent_; }
-
  private:
   Connection* conn_;
   std::string scratch_;
-  uint64_t frames_sent_ = 0;
-  uint64_t bytes_sent_ = 0;
 };
 
 }  // namespace net

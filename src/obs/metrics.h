@@ -13,7 +13,9 @@
 //        static obs::Counter* const fsyncs = obs::MetricsRegistry::Default()->GetCounter(
 //            "orochi_io_fsyncs_total", "fsync calls issued by spill writers");
 //        fsyncs->Inc();
-//      The function-local static makes the name lookup a one-time cost.
+//      The function-local static makes the name lookup a one-time cost. An object that
+//      also reports its own count (a service's stats()) holds a CounterCell per series
+//      instead, so each event is tallied once for both views.
 //
 // This header sits below src/common (orochi_common links orochi_obs), so every layer —
 // io_env included — can record without dependency cycles.
@@ -149,6 +151,28 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;  // Guards the map shape only; updates never take it.
   std::map<std::string, Entry> metrics_;
+};
+
+// One instance's share of a registry counter. Inc bumps the instance's own count and the
+// process-wide series in the same call, so Value() (this instance's count) and the
+// exposition (every instance's, including ones since destroyed) come from one tally per
+// event. The series is looked up once, at construction.
+class CounterCell {
+ public:
+  CounterCell(MetricsRegistry* registry, const std::string& name, const std::string& help)
+      : series_(registry->GetCounter(name, help)) {}
+  CounterCell(const CounterCell&) = delete;
+  CounterCell& operator=(const CounterCell&) = delete;
+
+  void Inc(uint64_t n = 1) {
+    own_.fetch_add(n, std::memory_order_relaxed);
+    series_->Inc(n);
+  }
+  uint64_t Value() const { return own_.load(std::memory_order_relaxed); }
+
+ private:
+  Counter* const series_;
+  std::atomic<uint64_t> own_{0};
 };
 
 // Escapes a string for embedding in a JSON string literal (shared by the expositions

@@ -13,57 +13,6 @@ namespace orochi {
 
 namespace {
 
-// Ingest-side instruments, mirroring every ServiceStats bump into the process registry so
-// the /metrics exposition and the mutex-guarded stats() snapshot can never disagree about
-// what happened (they may transiently disagree about when).
-struct ServiceMetrics {
-  obs::Counter* connections;
-  obs::Counter* frames;
-  obs::Counter* records_spooled;
-  obs::Counter* records_deduped;
-  obs::Counter* bytes_spooled;
-  obs::Counter* corrupt_frames;
-  obs::Counter* shard_reattaches;
-  obs::Counter* shards_sealed;
-  obs::Counter* shards_quarantined;
-  obs::Counter* epochs_audited;
-  obs::Counter* epochs_accepted;
-
-  static ServiceMetrics* Get() {
-    static ServiceMetrics* const m = [] {
-      auto* r = obs::MetricsRegistry::Default();
-      auto* out = new ServiceMetrics();
-      out->connections = r->GetCounter("orochi_service_connections_total",
-                                       "collector connections accepted");
-      out->frames = r->GetCounter("orochi_service_frames_total",
-                                  "protocol frames read from attached shard streams");
-      out->records_spooled = r->GetCounter("orochi_service_records_spooled_total",
-                                           "records appended to epoch spool files");
-      out->records_deduped = r->GetCounter(
-          "orochi_service_records_deduped_total",
-          "resume-overlap records skipped exactly (already spooled before a reconnect)");
-      out->bytes_spooled = r->GetCounter("orochi_service_bytes_spooled_total",
-                                         "bytes appended to epoch spool files");
-      out->corrupt_frames = r->GetCounter("orochi_service_corrupt_frames_total",
-                                          "frames that failed their CRC (never spooled)");
-      out->shard_reattaches = r->GetCounter(
-          "orochi_service_shard_reattaches_total",
-          "shard streams re-attached by a reconnecting collector (attach count - 1)");
-      out->shards_sealed =
-          r->GetCounter("orochi_service_shards_sealed_total", "shard spool pairs sealed");
-      out->shards_quarantined = r->GetCounter(
-          "orochi_service_shards_quarantined_total",
-          "shards quarantined for end-epoch totals disagreeing with the spool");
-      out->epochs_audited = r->GetCounter("orochi_service_epochs_audited_total",
-                                          "epochs the continuous audit reached a verdict for");
-      out->epochs_accepted =
-          r->GetCounter("orochi_service_epochs_accepted_total", "epochs accepted");
-      return out;
-    }();
-    return m;
-  }
-};
-
 // One env knob: overrides *out when set, hard "config: ..." error when malformed.
 Status ApplyUint64Knob(const char* name, const char* what, uint64_t* out) {
   const char* env = std::getenv(name);
@@ -238,8 +187,19 @@ void AuditService::Stop() {
 }
 
 ServiceStats AuditService::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  ServiceStats s;
+  s.connections_accepted = connections_.Value();
+  s.frames = frames_.Value();
+  s.records_spooled = records_spooled_.Value();
+  s.records_deduped = records_deduped_.Value();
+  s.bytes_spooled = bytes_spooled_.Value();
+  s.corrupt_frames = corrupt_frames_.Value();
+  s.shard_reattaches = shard_reattaches_.Value();
+  s.shards_sealed = shards_sealed_.Value();
+  s.shards_quarantined = shards_quarantined_.Value();
+  s.epochs_audited = epochs_audited_.Value();
+  s.epochs_accepted = epochs_accepted_.Value();
+  return s;
 }
 
 void AuditService::AcceptLoop() {
@@ -255,8 +215,7 @@ void AuditService::AcceptLoop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       continue;
     }
-    stats_.connections_accepted++;
-    ServiceMetrics::Get()->connections->Inc();
+    connections_.Inc();
     Connection* raw = conn.value().get();
     live_connections_.insert(raw);
     lock.unlock();
@@ -281,11 +240,8 @@ Status AuditService::SpoolRecord(ShardStream* stream, bool is_trace,
     stream->reports_received++;
     stream->reports_bytes += frame.size();
   }
-  ServiceMetrics::Get()->records_spooled->Inc();
-  ServiceMetrics::Get()->bytes_spooled->Inc(frame.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.records_spooled++;
-  stats_.bytes_spooled += frame.size();
+  records_spooled_.Inc();
+  bytes_spooled_.Inc(frame.size());
   return Status::Ok();
 }
 
@@ -302,11 +258,10 @@ Status AuditService::SealShard(EpochState* epoch, ShardStream* stream,
         std::to_string(end.trace_records) + "/" + std::to_string(end.reports_records) +
         " do not match spooled " + std::to_string(stream->trace_received) + "/" +
         std::to_string(stream->reports_received);
-    ServiceMetrics::Get()->shards_quarantined->Inc();
+    shards_quarantined_.Inc();
     std::lock_guard<std::mutex> lock(mu_);
     stream->quarantined = true;
     stream->quarantine_reason = reason;
-    stats_.shards_quarantined++;
     cv_.notify_all();
     return Status::Error(reason);
   }
@@ -328,10 +283,9 @@ Status AuditService::SealShard(EpochState* epoch, ShardStream* stream,
   if (Status st = stream->reports_atomic.Commit(); !st.ok()) {
     return st;
   }
-  ServiceMetrics::Get()->shards_sealed->Inc();
+  shards_sealed_.Inc();
   std::lock_guard<std::mutex> lock(mu_);
   stream->sealed = true;
-  stats_.shards_sealed++;
   epoch->sealed_count++;
   if (!epoch->enqueued && epoch->sealed_count >= options_.shards_per_epoch) {
     epoch->enqueued = true;
@@ -412,11 +366,7 @@ Status AuditService::ServeStream(Connection* conn, net::FrameReader* reader,
       if (!IsTransientIoError(next.error())) {
         // A frame that failed its CRC: tell the client, drop the connection, keep the
         // received counts — the record was never spooled and the resume re-sends it.
-        ServiceMetrics::Get()->corrupt_frames->Inc();
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          stats_.corrupt_frames++;
-        }
+        corrupt_frames_.Inc();
         send_error(net::ErrorCode::kCorruption, next.error());
       }
       return Status::Error(next.error());
@@ -424,7 +374,7 @@ Status AuditService::ServeStream(Connection* conn, net::FrameReader* reader,
     if (!next.value()) {
       return Status::Ok();  // Clean close at a frame boundary.
     }
-    ServiceMetrics::Get()->frames->Inc();
+    frames_.Inc();
     switch (type) {
       case net::kFrameTraceRecord:
       case net::kFrameReportsRecord: {
@@ -454,9 +404,7 @@ Status AuditService::ServeStream(Connection* conn, net::FrameReader* reader,
         }
         if (rec.value().index < expected) {
           // Resume overlap from a reconnected client: already spooled, skip exactly.
-          ServiceMetrics::Get()->records_deduped->Inc();
-          std::lock_guard<std::mutex> lock(mu_);
-          stats_.records_deduped++;
+          records_deduped_.Inc();
         } else if (Status st = SpoolRecord(stream, is_trace, rec.value()); !st.ok()) {
           send_error(net::ErrorCode::kRetryable, st.error());
           return st;
@@ -607,7 +555,7 @@ void AuditService::HandleConnection(std::unique_ptr<Connection> conn) {
     stream->attached = true;
     stream->attaches++;
     if (stream->attaches > 1) {
-      ServiceMetrics::Get()->shard_reattaches->Inc();
+      shard_reattaches_.Inc();
     }
   }
 
@@ -648,16 +596,14 @@ void AuditService::AuditLoop() {
     }
     // The audit runs outside the lock: ingestion of later epochs proceeds concurrently.
     Result<AuditResult> verdict = session_->FeedShardedEpoch(files);
-    ServiceMetrics::Get()->epochs_audited->Inc();
+    // Counted before the verdict is published under mu_, so a caller returning from
+    // WaitEpochVerdict already sees this epoch in stats().
+    epochs_audited_.Inc();
     if (verdict.ok() && verdict.value().accepted) {
-      ServiceMetrics::Get()->epochs_accepted->Inc();
+      epochs_accepted_.Inc();
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      stats_.epochs_audited++;
-      if (verdict.ok() && verdict.value().accepted) {
-        stats_.epochs_accepted++;
-      }
       verdicts_.emplace(epoch_id, std::move(verdict));
     }
     cv_.notify_all();

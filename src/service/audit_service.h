@@ -34,6 +34,7 @@
 #include "src/core/audit_session.h"
 #include "src/net/frame.h"
 #include "src/net/transport.h"
+#include "src/obs/metrics.h"
 #include "src/obs/stats_server.h"
 
 namespace orochi {
@@ -72,13 +73,16 @@ struct ServiceOptions {
 // ResolveAuditThreads). Returns a hard config error for malformed or out-of-range values.
 Result<ServiceOptions> ResolveServiceOptions(ServiceOptions base);
 
-// Counters a long-running deployment watches; snapshot via AuditService::stats().
+// Counters a long-running deployment watches; snapshot via AuditService::stats(). Each
+// field is this service's share of the orochi_service_* series of the same name.
 struct ServiceStats {
   uint64_t connections_accepted = 0;
+  uint64_t frames = 0;  // Protocol frames read from attached shard streams.
   uint64_t records_spooled = 0;
   uint64_t records_deduped = 0;  // Resume overlap: re-sent records skipped exactly.
   uint64_t bytes_spooled = 0;
   uint64_t corrupt_frames = 0;  // CRC failures caught (and never spooled).
+  uint64_t shard_reattaches = 0;  // Streams re-attached by a reconnecting collector.
   uint64_t shards_sealed = 0;
   uint64_t shards_quarantined = 0;
   uint64_t epochs_audited = 0;
@@ -154,9 +158,35 @@ class AuditService {
   std::map<uint64_t, std::unique_ptr<EpochState>> epochs_;
   std::vector<uint64_t> sealed_ready_;     // Complete epochs awaiting the audit thread.
   std::map<uint64_t, Result<AuditResult>> verdicts_;
-  std::vector<std::thread> handlers_;
   std::set<Connection*> live_connections_;
-  ServiceStats stats_;
+
+  // One cell per orochi_service_* series; stats() reads them without taking mu_.
+  obs::MetricsRegistry* const registry_ = obs::MetricsRegistry::Default();
+  obs::CounterCell connections_{registry_, "orochi_service_connections_total",
+                                "collector connections accepted"};
+  obs::CounterCell frames_{registry_, "orochi_service_frames_total",
+                           "protocol frames read from attached shard streams"};
+  obs::CounterCell records_spooled_{registry_, "orochi_service_records_spooled_total",
+                                    "records appended to epoch spool files"};
+  obs::CounterCell records_deduped_{
+      registry_, "orochi_service_records_deduped_total",
+      "resume-overlap records skipped exactly (already spooled before a reconnect)"};
+  obs::CounterCell bytes_spooled_{registry_, "orochi_service_bytes_spooled_total",
+                                  "bytes appended to epoch spool files"};
+  obs::CounterCell corrupt_frames_{registry_, "orochi_service_corrupt_frames_total",
+                                   "frames that failed their CRC (never spooled)"};
+  obs::CounterCell shard_reattaches_{
+      registry_, "orochi_service_shard_reattaches_total",
+      "shard streams re-attached by a reconnecting collector (attach count - 1)"};
+  obs::CounterCell shards_sealed_{registry_, "orochi_service_shards_sealed_total",
+                                  "shard spool pairs sealed"};
+  obs::CounterCell shards_quarantined_{
+      registry_, "orochi_service_shards_quarantined_total",
+      "shards quarantined for end-epoch totals disagreeing with the spool"};
+  obs::CounterCell epochs_audited_{registry_, "orochi_service_epochs_audited_total",
+                                   "epochs the continuous audit reached a verdict for"};
+  obs::CounterCell epochs_accepted_{registry_, "orochi_service_epochs_accepted_total",
+                                    "epochs accepted"};
 };
 
 }  // namespace orochi

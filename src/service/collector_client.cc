@@ -4,45 +4,10 @@
 
 #include "src/common/io_env.h"
 #include "src/objects/wire_format.h"
-#include "src/obs/metrics.h"
 
 namespace orochi {
 
 namespace {
-
-// Collector-side instruments: the flow-control stalls live here (the client is the one
-// that waits), the service mirrors the ingest side.
-struct ClientMetrics {
-  obs::Counter* records_sent;
-  obs::Counter* bytes_sent;
-  obs::Counter* reconnects;
-  obs::Counter* records_resumed;
-  obs::Counter* acks;
-  obs::Counter* backpressure_stalls;
-
-  static ClientMetrics* Get() {
-    static ClientMetrics* const m = [] {
-      auto* r = obs::MetricsRegistry::Default();
-      auto* out = new ClientMetrics();
-      out->records_sent = r->GetCounter("orochi_client_records_sent_total",
-                                        "records streamed to the audit service");
-      out->bytes_sent = r->GetCounter("orochi_client_bytes_sent_total",
-                                      "wire bytes streamed to the audit service");
-      out->reconnects = r->GetCounter("orochi_client_reconnects_total",
-                                      "re-dial attempts after a transient failure");
-      out->records_resumed = r->GetCounter(
-          "orochi_client_records_resumed_total",
-          "records a resume handshake reported already spooled (skipped, not re-sent)");
-      out->acks = r->GetCounter("orochi_client_acks_received_total",
-                                "ack frames received from the service");
-      out->backpressure_stalls = r->GetCounter(
-          "orochi_client_backpressure_stalls_total",
-          "sends that blocked on acks at the service's in-flight byte bound");
-      return out;
-    }();
-    return m;
-  }
-};
 
 // An Error frame from the service, mapped onto the audit taxonomy: retryable service
 // states and corruption (the frame was dropped, a resume re-sends it) are transient;
@@ -60,6 +25,17 @@ Status ServiceError(const net::ErrorFrame& e) {
 }
 
 }  // namespace
+
+ClientStats CollectorClient::stats() const {
+  ClientStats s;
+  s.records_sent = records_sent_.Value();
+  s.bytes_sent = bytes_sent_.Value();
+  s.reconnects = reconnects_.Value();
+  s.records_resumed = records_resumed_.Value();
+  s.acks_received = acks_received_.Value();
+  s.backpressure_stalls = backpressure_stalls_.Value();
+  return s;
+}
 
 Status CollectorClient::RunAttempt(
     uint64_t epoch, uint32_t shard_id,
@@ -114,9 +90,7 @@ Status CollectorClient::RunAttempt(
                          std::to_string(resume.trace_received) + "/" +
                          std::to_string(resume.reports_received) + ")");
   }
-  stats_.records_resumed += resume.trace_received + resume.reports_received;
-  ClientMetrics::Get()->records_resumed->Inc(resume.trace_received +
-                                             resume.reports_received);
+  records_resumed_.Inc(resume.trace_received + resume.reports_received);
 
   // Flow control: sizes of wire frames not yet covered by an Ack, oldest first. The
   // client stalls on acks once the unacked bytes exceed the service's advertised bound.
@@ -143,8 +117,7 @@ Status CollectorClient::RunAttempt(
         if (!a.ok()) {
           return Status::Error(a.error());
         }
-        stats_.acks_received++;
-        ClientMetrics::Get()->acks->Inc();
+        acks_received_.Inc();
         uint64_t total = a.value().trace_received + a.value().reports_received;
         while (acked_records < total && !unacked_sizes.empty()) {
           unacked_bytes -= unacked_sizes.front();
@@ -182,7 +155,7 @@ Status CollectorClient::RunAttempt(
                           uint64_t from) -> Status {
     for (uint64_t i = from; i < records.size(); i++) {
       if (bound > 0 && unacked_bytes > bound) {
-        ClientMetrics::Get()->backpressure_stalls->Inc();
+        backpressure_stalls_.Inc();
       }
       while (bound > 0 && unacked_bytes > bound) {
         bool done = false;
@@ -202,10 +175,8 @@ Status CollectorClient::RunAttempt(
         return st;
       }
       uint64_t frame_bytes = wire::kRecordFrameBytesV2 + encoded.size();
-      stats_.records_sent++;
-      stats_.bytes_sent += frame_bytes;
-      ClientMetrics::Get()->records_sent->Inc();
-      ClientMetrics::Get()->bytes_sent->Inc(frame_bytes);
+      records_sent_.Inc();
+      bytes_sent_.Inc(frame_bytes);
       unacked_sizes.push_back(frame_bytes);
       unacked_bytes += frame_bytes;
     }
@@ -259,8 +230,7 @@ Status CollectorClient::StreamEpoch(uint64_t epoch, Collector* collector,
   bool sealed = false;
   for (int attempt = 0; attempt <= max_reconnects_; attempt++) {
     if (attempt > 0) {
-      stats_.reconnects++;
-      ClientMetrics::Get()->reconnects->Inc();
+      reconnects_.Inc();
     }
     last = RunAttempt(epoch, collector->shard_id(), trace_records, reports_records,
                       &sealed);

@@ -23,16 +23,19 @@
 #include "src/net/frame.h"
 #include "src/net/transport.h"
 #include "src/objects/reports.h"
+#include "src/obs/metrics.h"
 #include "src/server/collector.h"
 
 namespace orochi {
 
+// Each field is this client's share of the orochi_client_* series of the same name.
 struct ClientStats {
   uint64_t records_sent = 0;    // Data records put on the wire (re-sends included).
   uint64_t bytes_sent = 0;      // Frame bytes put on the wire.
-  uint64_t reconnects = 0;      // Successful re-handshakes after a failure.
+  uint64_t reconnects = 0;      // Re-dial attempts after a failure.
   uint64_t records_resumed = 0; // Records a resume point let the client skip re-sending.
   uint64_t acks_received = 0;
+  uint64_t backpressure_stalls = 0;  // Sends that waited on acks at the in-flight bound.
 };
 
 class CollectorClient {
@@ -53,7 +56,7 @@ class CollectorClient {
   // errors. The collector's shard id stamps the stream and must be nonzero.
   Status StreamEpoch(uint64_t epoch, Collector* collector, const Reports& reports);
 
-  const ClientStats& stats() const { return stats_; }
+  ClientStats stats() const;
 
  private:
   // One connection attempt: handshake, send everything not yet acked, wait for the seal.
@@ -66,7 +69,23 @@ class CollectorClient {
   const std::string address_;
   Transport* const transport_;
   const int max_reconnects_;
-  ClientStats stats_;
+
+  // One cell per orochi_client_* series; stats() reads them.
+  obs::MetricsRegistry* const registry_ = obs::MetricsRegistry::Default();
+  obs::CounterCell records_sent_{registry_, "orochi_client_records_sent_total",
+                                 "records streamed to the audit service"};
+  obs::CounterCell bytes_sent_{registry_, "orochi_client_bytes_sent_total",
+                               "wire bytes streamed to the audit service"};
+  obs::CounterCell reconnects_{registry_, "orochi_client_reconnects_total",
+                               "re-dial attempts after a transient failure"};
+  obs::CounterCell records_resumed_{
+      registry_, "orochi_client_records_resumed_total",
+      "records a resume handshake reported already spooled (skipped, not re-sent)"};
+  obs::CounterCell acks_received_{registry_, "orochi_client_acks_received_total",
+                                  "ack frames received from the service"};
+  obs::CounterCell backpressure_stalls_{
+      registry_, "orochi_client_backpressure_stalls_total",
+      "sends that blocked on acks at the service's in-flight byte bound"};
 };
 
 }  // namespace orochi

@@ -23,11 +23,13 @@ using wire_primitives::PutStr;
 using wire_primitives::PutU32;
 using wire_primitives::PutU64;
 
-// Checkpoint-section record types. Type 2 was the chunk record of the layout that also
-// carried five wall-time fields; it is retired, so a journal in that layout stops
-// parsing at its first chunk record (unknown type) and reuses no chunk.
+// Checkpoint-section record types. Retired types parse as unknown, and parsing stops at
+// the first one, so an old journal keeps only the records before it and the rest of its
+// work re-executes:
+//   - type 2 was the chunk record of the layout that also carried five wall-time fields;
+//   - type 3 was a per-object Prepare scan watermark, which skipped no work: the
+//     in-memory store builds rerun on resume.
 constexpr uint8_t kMetaRecord = 1;     // u64 fingerprint.
-constexpr uint8_t kPrepareRecord = 3;  // u64 object: Prepare finished scanning its log.
 constexpr uint8_t kCompareRecord = 4;  // u64 watermark: responses fully compared (pass 3).
 constexpr uint8_t kChunkRecord = 5;    // One completed task (order + stat counts + outputs).
 
@@ -129,7 +131,7 @@ void ReadWholeFileBestEffort(Env* env, const std::string& path, std::string* out
 // the envelope or fingerprint does not match — the file belongs to a different audit.
 bool ParsePriorJournal(const std::string& data, uint64_t fingerprint,
                        std::unordered_map<size_t, AuditTaskRecord>* records,
-                       std::set<uint64_t>* prepare_scans, uint64_t* compare_watermark) {
+                       uint64_t* compare_watermark) {
   if (data.size() < wire::kEnvelopeHeaderBytes ||
       data.compare(0, sizeof(wire::kMagic), wire::kMagic, sizeof(wire::kMagic)) != 0) {
     return false;
@@ -175,13 +177,6 @@ bool ParsePriorJournal(const std::string& data, uint64_t fingerprint,
         break;
       }
       records->emplace(order, std::move(rec));
-    } else if (type == kPrepareRecord) {
-      Cursor cur = MakeCursor(payload);
-      uint64_t object;
-      if (!cur.TakeU64(&object) || !cur.AtEnd()) {
-        break;
-      }
-      prepare_scans->insert(object);
     } else if (type == kCompareRecord) {
       Cursor cur = MakeCursor(payload);
       uint64_t watermark;
@@ -282,10 +277,8 @@ Result<std::unique_ptr<CheckpointJournal>> CheckpointJournal::Open(Env* env,
   std::string prior;
   ReadWholeFileBestEffort(env, path, &prior);
   if (!prior.empty() &&
-      !ParsePriorJournal(prior, fingerprint, &journal->records_,
-                         &journal->prepare_loaded_, &journal->compare_loaded_)) {
+      !ParsePriorJournal(prior, fingerprint, &journal->records_, &journal->compare_loaded_)) {
     journal->records_.clear();
-    journal->prepare_loaded_.clear();
     journal->compare_loaded_ = 0;
   }
   journal->loaded_ = journal->records_.size();
@@ -305,11 +298,6 @@ Result<std::unique_ptr<CheckpointJournal>> CheckpointJournal::Open(Env* env,
   for (const auto& [order, rec] : journal->records_) {
     EncodeChunkRecord(order, rec, &payload);
     wire::AppendRecordFrame(&buf, kChunkRecord, payload);
-  }
-  for (uint64_t object : journal->prepare_loaded_) {
-    payload.clear();
-    PutU64(&payload, object);
-    wire::AppendRecordFrame(&buf, kPrepareRecord, payload);
   }
   if (journal->compare_loaded_ > 0) {
     payload.clear();
@@ -348,16 +336,6 @@ void CheckpointJournal::Record(const AuditTask& task, const AuditTaskRecord& rec
   EncodeChunkRecord(task.order, record, &payload);
   std::lock_guard<std::mutex> lock(mu_);
   AppendFrame(kChunkRecord, payload);
-}
-
-void CheckpointJournal::RecordPrepareScan(uint64_t object) {
-  if (PriorPrepareScan(object)) {
-    return;  // Open already rewrote the prior run's record.
-  }
-  std::string payload;
-  PutU64(&payload, object);
-  std::lock_guard<std::mutex> lock(mu_);
-  AppendFrame(kPrepareRecord, payload);
 }
 
 void CheckpointJournal::RecordCompareWatermark(uint64_t responses_compared) {

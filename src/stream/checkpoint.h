@@ -1,10 +1,10 @@
 // Resumable streamed audits: a sidecar wire file (Section::kCheckpoint) journaling audit
-// progress in every phase — completed pass-2 chunk tasks (replayed on resume instead of
-// re-executed), per-object Prepare scan watermarks, and the pass-3 compare watermark — so
-// a verifier killed in *any* phase resumes without redoing retired work. Because the
-// engine is deterministic and only successful work is journaled, a resumed run's verdict,
-// rejection reason, and final state are bit-identical to an uninterrupted run at every
-// thread count and memory budget.
+// progress — completed pass-2 chunk tasks (replayed on resume instead of re-executed) and
+// the pass-3 compare watermark — so a verifier killed in *any* phase resumes without
+// redoing retired work (a kill mid-Prepare reruns the in-memory store builds, which no
+// journal record could skip). Because the engine is deterministic and only successful
+// work is journaled, a resumed run's verdict, rejection reason, and final state are
+// bit-identical to an uninterrupted run at every thread count and memory budget.
 //
 // File layout: the standard 13-byte envelope, then one meta record carrying the epoch
 // fingerprint, then progress records appended (and fsynced) as work retires. There is
@@ -18,7 +18,6 @@
 
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -63,16 +62,6 @@ class CheckpointJournal : public AuditTaskJournal {
   // (the journal stops growing) but never the audit.
   void Record(const AuditTask& task, const AuditTaskRecord& record) override;
 
-  // --- Prepare-phase watermarks: per-object versioned-store scan progress ---
-  // The store builds themselves are in-memory and must rerun on resume, so these are
-  // progress markers (surfaced as AuditStats::prepare_watermarks_reused), journaled so a
-  // kill mid-Prepare leaves a fingerprint-bound record of how far the build got.
-  // True when a prior run journaled a completed scan of `object`.
-  bool PriorPrepareScan(uint64_t object) const { return prepare_loaded_.count(object) > 0; }
-  // Appends a scan-completed record for `object` (no-op if a prior run already has it).
-  void RecordPrepareScan(uint64_t object);
-  size_t resumable_prepare_scans() const { return prepare_loaded_.size(); }
-
   // --- Pass-3 compare watermark: responses fully compared, in trace order ---
   // A resumed run skips re-comparing the first `prior_compare_watermark()` responses:
   // sound because the fingerprint binds every response payload's CRC, and a surviving
@@ -96,10 +85,9 @@ class CheckpointJournal : public AuditTaskJournal {
   Env* env_;
   std::string path_;
   std::unique_ptr<WritableFile> out_;
-  std::mutex mu_;  // Guards out_, write_failed_, compare_appended_; the *_loaded_ state
+  std::mutex mu_;  // Guards out_, write_failed_, compare_appended_; compare_loaded_
                    // and records_ are frozen after Open.
   std::unordered_map<size_t, AuditTaskRecord> records_;
-  std::set<uint64_t> prepare_loaded_;
   uint64_t compare_loaded_ = 0;
   uint64_t compare_appended_ = 0;  // Highest watermark on disk (loaded or appended).
   size_t loaded_ = 0;

@@ -207,36 +207,6 @@ class StreamTaskGate : public AuditTaskGate {
   std::unordered_map<size_t, ClaimedChunk> claimed_;
 };
 
-// Wraps the segment-paging scanner with checkpoint journaling: each object whose forward
-// scan completes is recorded as a Prepare watermark, and objects a prior (killed) run
-// already scanned are counted into stats. The store builds are in-memory, so a resumed
-// Prepare must re-scan every object either way — the watermarks journal *progress* (and
-// prove, fingerprint-bound, which scans the killed run retired), they do not skip work.
-class JournalingOpLogScanner : public OpLogScanner {
- public:
-  JournalingOpLogScanner(OpLogScanner* inner, CheckpointJournal* journal,
-                         AuditStats* stats)
-      : inner_(inner), journal_(journal), stats_(stats) {}
-
-  Status Scan(size_t object,
-              const std::function<Status(const OpRecord&, uint64_t)>& fn) override {
-    if (journal_->PriorPrepareScan(object)) {
-      stats_->prepare_watermarks_reused++;
-    }
-    Status st = inner_->Scan(object, fn);
-    if (st.ok()) {
-      journal_->RecordPrepareScan(object);
-    }
-    return st;
-  }
-  bool io_failed() const override { return inner_->io_failed(); }
-
- private:
-  OpLogScanner* inner_;
-  CheckpointJournal* journal_;
-  AuditStats* stats_;
-};
-
 // How many responses pass 3 compares between compare-watermark journal appends. Each
 // append is a frame + fsync; every 16 responses keeps resume granularity fine without
 // making the fsync the compare loop's bottleneck.
@@ -340,13 +310,13 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   // the budget. v3 segmented spills bound it by one segment, not one object's log.
   ctx.stats().pass1_transient_peak_bytes = merged.reports.pass1_transient_peak_bytes();
 
-  // Resumable audit: the sidecar checkpoint journals progress in every phase (Prepare
-  // scan watermarks, pass-2 chunk tasks, the pass-3 compare watermark), so it opens
-  // before Prepare. The fingerprint binds the journal to this exact (epoch content,
-  // audit options) combination — computed from the pass-1 skeletons including payload
-  // CRCs, so a stale, foreign, or tampered-epoch checkpoint contributes nothing. An
-  // unusable checkpoint path is a file-level error — the epoch is unconsumed and
-  // retryable.
+  // Resumable audit: the sidecar checkpoint journals pass-2 chunk tasks and the pass-3
+  // compare watermark. It opens before Prepare, so a run killed there leaves the prior
+  // journal rewritten and intact for the next resume. The fingerprint binds the journal
+  // to this exact (epoch content, audit options) combination — computed from the pass-1
+  // skeletons including payload CRCs, so a stale, foreign, or tampered-epoch checkpoint
+  // contributes nothing. An unusable checkpoint path is a file-level error — the epoch
+  // is unconsumed and retryable.
   std::unique_ptr<CheckpointJournal> journal;
   if (!options_.checkpoint_path.empty()) {
     Result<std::unique_ptr<CheckpointJournal>> opened = CheckpointJournal::Open(
@@ -376,18 +346,13 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   };
 
   // The versioned-store builds inside Prepare() consume spilled op-log contents as
-  // budget-bounded segment scans instead of resident logs; with a journal installed,
-  // completed per-object scans are recorded as Prepare watermarks.
+  // budget-bounded segment scans instead of resident logs.
   SegmentedOpLogScanner scanner(&merged.reports, reports_loader, budget);
-  JournalingOpLogScanner journaling_scanner(&scanner, journal.get(), &ctx.stats());
-  ctx.set_oplog_scanner(journal != nullptr
-                            ? static_cast<OpLogScanner*>(&journaling_scanner)
-                            : static_cast<OpLogScanner*>(&scanner));
+  ctx.set_oplog_scanner(&scanner);
   if (Status st = ctx.Prepare(); !st.ok()) {
     if (scanner.io_failed()) {
       // Paging a log segment in failed (spill file vanished or changed mid-audit): a
-      // file-level error, not a verdict — the epoch is unconsumed. The journal keeps the
-      // Prepare watermarks retired so far for the retry.
+      // file-level error, not a verdict — the epoch is unconsumed.
       epochs_fed_--;
       return R::Error(st.error());
     }

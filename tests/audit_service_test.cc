@@ -13,9 +13,10 @@
 //      audit's truth, and every client-visible failure is retryable I/O — never tamper.
 //   4. Tamper still rejects through the socket path, with the direct audit's reason; a
 //      shard lying about its end-of-epoch totals is quarantined, never audited.
-//   5. Observability: the registry counters mirror the per-client stats exactly, and a
-//      seeded fault schedule shows up in them 1:1 — reconnects equal the scripted
-//      disconnects, transient-read retries equal the faults the injected Env fired.
+//   5. Observability: the registry series equal the summed per-client and per-service
+//      stats exactly, and a seeded fault schedule shows up in them 1:1 — reconnects
+//      equal the scripted disconnects, transient-read retries equal the faults the
+//      injected Env fired.
 #include <fstream>
 #include <memory>
 #include <string>
@@ -457,10 +458,11 @@ TEST(AuditService, CorruptFrameIsReportedAndNeverSpooled) {
 
 // --- 5. Observability counters vs the injected schedule ---
 
-// The registry mirrors (orochi_client_*, orochi_io_*) are bumped at the same sites as
-// the mutex-guarded per-client stats, so across a seeded sweep the deltas must agree
-// exactly — and the fault schedule itself must be visible in them: one reconnect per
-// scripted disconnect, one transient-retry per fault the injected Env fired.
+// Each client and service counts an event once, into a cell that also feeds its
+// orochi_client_* / orochi_service_* series, so across a seeded sweep the registry deltas
+// must equal the summed per-instance stats exactly — and the fault schedule itself must
+// be visible in them: one reconnect per scripted disconnect, one transient-retry per
+// fault the injected Env fired.
 TEST(AuditService, ObservabilityCountersMatchTheInjectedSchedule) {
   const uint64_t base_seed = TestBaseSeed(0x0B5);
   SCOPED_TRACE(SeedTraceMessage(base_seed));
@@ -472,6 +474,14 @@ TEST(AuditService, ObservabilityCountersMatchTheInjectedSchedule) {
   const uint64_t retries0 =
       reg->GetCounter("orochi_io_read_transient_retries_total", "")->Value();
   const uint64_t recovered0 = reg->GetCounter("orochi_io_reads_recovered_total", "")->Value();
+  const char* const kServiceSeries[] = {
+      "orochi_service_records_spooled_total", "orochi_service_records_deduped_total",
+      "orochi_service_shards_sealed_total", "orochi_service_epochs_audited_total",
+      "orochi_service_frames_total"};
+  std::vector<uint64_t> service0;
+  for (const char* name : kServiceSeries) {
+    service0.push_back(reg->GetCounter(name, "")->Value());
+  }
 
   Result<Workload> workload = CounterWorkload();
   ASSERT_TRUE(workload.ok());
@@ -498,6 +508,7 @@ TEST(AuditService, ObservabilityCountersMatchTheInjectedSchedule) {
   uint64_t client_resumed = 0;
   uint64_t client_acks = 0;
   uint64_t scripted_disconnects = 0;
+  ServiceStats service_sum;
   for (int s = 0; s < kSchedules; s++) {
     // A one-shot kill at a different point each schedule: the client must reconnect
     // exactly once per disconnect the transport actually fired.
@@ -514,6 +525,12 @@ TEST(AuditService, ObservabilityCountersMatchTheInjectedSchedule) {
     ASSERT_TRUE(verdict.ok()) << "schedule " << s << ": " << verdict.error();
     EXPECT_TRUE(verdict.value().accepted) << verdict.value().reason;
     service.Stop();
+    const ServiceStats ss = service.stats();
+    service_sum.records_spooled += ss.records_spooled;
+    service_sum.records_deduped += ss.records_deduped;
+    service_sum.shards_sealed += ss.shards_sealed;
+    service_sum.epochs_audited += ss.epochs_audited;
+    service_sum.frames += ss.frames;
 
     EXPECT_EQ(faulty.disconnects(), 1u) << "schedule " << s;
     EXPECT_EQ(cs.reconnects, faulty.disconnects()) << "schedule " << s;
@@ -523,7 +540,16 @@ TEST(AuditService, ObservabilityCountersMatchTheInjectedSchedule) {
     scripted_disconnects += faulty.disconnects();
   }
 
-  // Registry mirrors agree with the summed per-client stats, exactly.
+  // The registry series equal the summed per-instance stats, exactly.
+  const uint64_t service_sums[] = {service_sum.records_spooled, service_sum.records_deduped,
+                                   service_sum.shards_sealed, service_sum.epochs_audited,
+                                   service_sum.frames};
+  for (size_t i = 0; i < service0.size(); i++) {
+    EXPECT_EQ(reg->GetCounter(kServiceSeries[i], "")->Value() - service0[i], service_sums[i])
+        << kServiceSeries[i];
+  }
+  EXPECT_EQ(service_sum.shards_sealed, static_cast<uint64_t>(kSchedules));
+  EXPECT_EQ(service_sum.epochs_audited, static_cast<uint64_t>(kSchedules));
   EXPECT_EQ(reg->GetCounter("orochi_client_reconnects_total", "")->Value() - reconnects0,
             client_reconnects);
   EXPECT_EQ(reg->GetCounter("orochi_client_records_resumed_total", "")->Value() - resumed0,

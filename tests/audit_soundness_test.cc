@@ -75,9 +75,15 @@ INSTANTIATE_TEST_SUITE_P(
                    [](Trace* t, Reports*) { return SwapResponseBodies(t, 1, 5); }},
         TamperCase{"kv log reordered",
                    [](Trace*, Reports* r) {
+                     // Not a blind swap: two commuting ops (say, two gets of one key)
+                     // swap into an equivalent log that a sound verifier must accept.
                      int kv = KvObj(*r);
-                     return kv >= 0 && r->op_logs[static_cast<size_t>(kv)].size() >= 4 &&
-                            SwapLogEntries(r, static_cast<size_t>(kv), 0, 2);
+                     if (kv < 0) {
+                       return false;
+                     }
+                     auto [set_pos, get_pos] =
+                         ObservableKvSwap(r->op_logs[static_cast<size_t>(kv)]);
+                     return SwapLogEntries(r, static_cast<size_t>(kv), set_pos, get_pos);
                    }},
         TamperCase{"kv log entry dropped",
                    [](Trace*, Reports* r) {

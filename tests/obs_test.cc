@@ -37,6 +37,35 @@ TEST(CounterTest, ConcurrentIncrementsAreExact) {
   EXPECT_EQ(c.Value(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
+TEST(CounterCellTest, CellsAreExactAndTheSeriesIsTheirSum) {
+  MetricsRegistry registry;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  CounterCell a(&registry, "cells_total", "two cells, one series");
+  {
+    CounterCell b(&registry, "cells_total", "");
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+      threads.emplace_back([&a, &b] {
+        for (int i = 0; i < kPerThread; i++) {
+          a.Inc();
+          b.Inc(2);
+        }
+      });
+    }
+    for (auto& t : threads) {
+      t.join();
+    }
+    const uint64_t n = static_cast<uint64_t>(kThreads) * kPerThread;
+    EXPECT_EQ(a.Value(), n);
+    EXPECT_EQ(b.Value(), 2 * n);
+    EXPECT_EQ(registry.GetCounter("cells_total", "")->Value(), 3 * n);
+  }
+  // The series outlives the cell that fed it.
+  EXPECT_EQ(registry.GetCounter("cells_total", "")->Value(),
+            3 * static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
 TEST(GaugeTest, SetAddAndRatchet) {
   Gauge g;
   g.Set(10);

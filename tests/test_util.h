@@ -9,13 +9,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/strings.h"
+#include "src/objects/object_model.h"
 #include "src/objects/reports.h"
 #include "src/objects/stores.h"
 #include "src/objects/trace.h"
@@ -53,6 +56,38 @@ inline ServedWorkload ServeWorkload(const Workload& workload, int num_workers = 
   out.reports = core.TakeReports();
   out.final_state = core.SnapshotState();
   return out;
+}
+
+// A kv-log swap that is a real tamper: a set S and the next get G of the same key from
+// another request, with no set of that key in between and S writing a value other than
+// the one the key held before. After the swap G reads the older value, so G's request
+// re-executes differently. Not every swap is a tamper: two gets of one key (which
+// concurrent serving may log first) swap into an equivalent log that a sound verifier
+// must accept. Returns {log.size(), log.size()} when no such pair exists.
+inline std::pair<size_t, size_t> ObservableKvSwap(const std::vector<OpRecord>& log) {
+  // Key -> serialized value of its latest set; "" (no serialization) while unset.
+  std::map<std::string, std::string> held;
+  // Key -> position of its latest set, while that set changed the key's value.
+  std::map<std::string, size_t> changed_by;
+  for (size_t i = 0; i < log.size(); i++) {
+    const OpRecord& op = log[i];
+    if (op.type == StateOpType::kKvSet) {
+      KvSetContents kv = ParseKvSetContents(op.contents).value();
+      std::string value = kv.value.Serialize();
+      if (value != held[kv.key]) {
+        changed_by[kv.key] = i;
+      } else {
+        changed_by.erase(kv.key);
+      }
+      held[kv.key] = value;
+    } else if (op.type == StateOpType::kKvGet) {
+      auto it = changed_by.find(op.contents);
+      if (it != changed_by.end() && log[it->second].rid != op.rid) {
+        return {it->second, i};
+      }
+    }
+  }
+  return {log.size(), log.size()};
 }
 
 // Base seed for randomized sweeps: OROCHI_TEST_SEED when set (decimal or 0x-hex), else

@@ -140,7 +140,6 @@ TEST(FrameTaxonomy, ReaderRoundTripsAndSeesCleanClose) {
   Result<bool> eof = reader.Next(&type, &payload);
   ASSERT_TRUE(eof.ok());
   EXPECT_FALSE(eof.value());
-  EXPECT_EQ(reader.frames_read(), 2u);
 }
 
 TEST(FrameTaxonomy, CrcMismatchIsWireCorruptionNotTransient) {

@@ -590,8 +590,7 @@ std::vector<JournalRecord> ParseJournal(const std::string& bytes) {
 
 // The journal a run over the fixture's epoch 2 leaves when killed mid-pass-3. Pass 2 loads
 // each of the 36 request payloads once, so 70 loads die at the 35th response, past the
-// 32-response compare watermark: the journal holds meta, Prepare-scan, chunk and compare
-// records.
+// 32-response compare watermark: the journal holds meta, chunk and compare records.
 std::string KilledRunJournal(const FuzzFixture& fx, const std::string& checkpoint) {
   AuditOptions options = FuzzOptions();
   options.checkpoint_path = checkpoint;
@@ -627,8 +626,8 @@ TEST(WireFuzz, CheckpointJournalMutationsResumeToTheUninterruptedVerdict) {
   for (const JournalRecord& rec : ParseJournal(pristine)) {
     types.insert(rec.type);
   }
-  // Meta, Prepare scan, compare watermark, chunk.
-  EXPECT_EQ(types, (std::set<uint8_t>{1, 3, 4, 5}));
+  // Meta, compare watermark, chunk.
+  EXPECT_EQ(types, (std::set<uint8_t>{1, 4, 5}));
   uint64_t reused = 0;
   Outcome got = ResumeFrom(fx, checkpoint, pristine, &reused);
   EXPECT_TRUE(got == fx.reference) << got.error << got.reason;
@@ -659,28 +658,36 @@ TEST(WireFuzz, CheckpointJournalMutationsResumeToTheUninterruptedVerdict) {
   EXPECT_GT(partial_reuse, 0u);
 }
 
-// A journal in the retired layout, whose type-2 chunk records carried five f64 wall-time
-// fields after the order, stops parsing at its first chunk record: the resume reuses no
-// chunk and still reaches the uninterrupted verdict.
+// Journals in the two retired layouts stop parsing at their first retired record, so a
+// resume reuses no chunk behind it and still reaches the uninterrupted verdict:
+//   - type-2 chunk records, which carried five f64 wall-time fields after the order;
+//   - a type-3 Prepare scan watermark, here right after the meta record.
 TEST(WireFuzz, RetiredChunkLayoutJournalReusesNoChunk) {
   FuzzFixture fx = BuildFixture();
   const std::string checkpoint = TestTempDir() + "/fuzz_retired_layout.ckpt";
   const std::string journal = KilledRunJournal(fx, checkpoint);
-  std::string retired = journal.substr(0, wire::kEnvelopeHeaderBytes);
+  std::string retired_chunks = journal.substr(0, wire::kEnvelopeHeaderBytes);
+  std::string retired_prepare = retired_chunks;
   size_t chunks = 0;
   for (JournalRecord rec : ParseJournal(journal)) {
+    wire::AppendRecordFrame(&retired_prepare, rec.type, rec.payload);
+    if (rec.type == 1) {
+      wire::AppendRecordFrame(&retired_prepare, 3, std::string(8, '\0'));  // u64 object 0.
+    }
     if (rec.type == 5) {
       rec.type = 2;
       rec.payload.insert(8, std::string(5 * 8, '\0'));
       chunks++;
     }
-    wire::AppendRecordFrame(&retired, rec.type, rec.payload);
+    wire::AppendRecordFrame(&retired_chunks, rec.type, rec.payload);
   }
   ASSERT_GT(chunks, 0u);
-  uint64_t reused = 1;
-  Outcome got = ResumeFrom(fx, checkpoint, retired, &reused);
-  EXPECT_TRUE(got == fx.reference) << got.error << got.reason;
-  EXPECT_EQ(reused, 0u);
+  for (const std::string& retired : {retired_chunks, retired_prepare}) {
+    uint64_t reused = 1;
+    Outcome got = ResumeFrom(fx, checkpoint, retired, &reused);
+    EXPECT_TRUE(got == fx.reference) << got.error << got.reason;
+    EXPECT_EQ(reused, 0u);
+  }
 }
 
 }  // namespace
